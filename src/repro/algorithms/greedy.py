@@ -5,10 +5,11 @@ as its strong strategy (MGIC under IC, MGWC under WC): sample ``R``
 live-edge snapshots once, compute the exact first-round spread of *every*
 node on them via SCC-condensation reachability (the NewGreedy step), then
 run CELF lazy-greedy for the remaining ``k−1`` picks against the same
-snapshots.  Because the snapshots are freshly sampled per ``select`` call,
-the algorithm is randomized — two groups running MixGreedy independently
-get overlapping but not identical seed sets, which is exactly the behaviour
-the paper's Theorem 1 footnote relies on.
+snapshots.  Because the snapshots are freshly sampled per ``select`` call
+(a private :class:`~repro.cascade.pools.SnapshotPool` seeded from the
+caller's generator), the algorithm is randomized — two groups running
+MixGreedy independently get overlapping but not identical seed sets, which
+is exactly the behaviour the paper's Theorem 1 footnote relies on.
 
 The NewGreedy step dominates the cost and is embarrassingly parallel per
 snapshot, so it is fanned out through the execution engine as a batch of
@@ -25,8 +26,8 @@ estimate, so their spreads agree within noise).
 
 When a shared :class:`~repro.cascade.pools.SnapshotPool` is passed to
 ``select`` (the payoff estimator creates one per ``(draw, group)``), both
-algorithms draw their masks, oracle, and initial gains from the pool via
-``_select_pooled`` instead of resampling privately — the work-sharing path
+algorithms draw their masks, oracle, and initial gains from that pool via
+``_select_pooled`` instead of a private one — the work-sharing path
 reprolint rule RP008 steers strategy code towards.
 """
 
@@ -40,16 +41,12 @@ import numpy as np
 
 from repro.algorithms.base import SeedSelector
 from repro.cascade.base import CascadeModel
-from repro.cascade.pools import MASKS_PER_JOB, SnapshotPool, snapshot_initial_gains
-from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
+from repro.cascade.pools import SnapshotPool
+from repro.cascade.snapshots import SnapshotOracle
 from repro.exec.executor import Executor
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int
-
-#: Snapshots per gains job — canonical value lives with the shared-pool
-#: machinery in :mod:`repro.cascade.pools`; re-exported for compatibility.
-_MASKS_PER_JOB = MASKS_PER_JOB
 
 
 @dataclass
@@ -229,29 +226,14 @@ class _SnapshotGreedyBase(SeedSelector):
         self.executor = executor
         self.kernel = kernel
 
-    def _initial_gains(
-        self, graph: DiGraph, oracle: SnapshotOracle
-    ) -> list[float]:
-        """Average exact reach size of every singleton seed over the snapshots.
-
-        Delegates to :func:`repro.cascade.pools.snapshot_initial_gains` —
-        the same batched computation a shared :class:`SnapshotPool` caches —
-        so pooled and private selection paths agree bit for bit.
-        """
-        return snapshot_initial_gains(graph, oracle.masks, self.executor)
-
     def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
-        k = self._check_budget(graph, k)
+        # Without a shared pool each select call must stay independently
+        # randomized (the Theorem 1 footnote behaviour): a private pool
+        # seeded from the caller's generator.
         generator = as_rng(rng)
-        # A private, freshly sampled pool is semantically required here:
-        # without a shared pool each select call must stay independently
-        # randomized (the Theorem 1 footnote behaviour).
-        masks = sample_snapshots(  # reprolint: disable=RP008
-            graph, self.model, self.num_snapshots, generator
-        )
-        oracle = SnapshotOracle(graph, masks, kernel=self.kernel)
-        gains = self._initial_gains(graph, oracle)
-        return self._run_celf(k, oracle, gains)
+        pool = SnapshotPool(graph)
+        pool.token(generator)
+        return self._select_pooled(graph, k, generator, pool)
 
     def _select_pooled(
         self,

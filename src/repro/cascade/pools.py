@@ -13,23 +13,16 @@ group and memoizes, per ``(model, count)``:
 * the batched initial gains (:meth:`initial_gains`, shared between
   MixGreedy and CELFGreedy).
 
-Pools store masks as **packed bitsets** by default (one bit per edge — see
-:mod:`repro.utils.bitset`), so a resident pool costs m/8 bytes per snapshot
-instead of m; pass ``packed=False`` for the legacy boolean representation.
-Both hold exactly the same bits, and every oracle/gains result is
-bit-identical across the two.
-
-**Sharded generation.**  With ``shards > 1`` (or ``REPRO_SNAPSHOT_SHARDS``)
-the snapshot sample is split into contiguous shards, each derived from its
-own deterministic shard seed.  :meth:`initial_gains` then fans one
-:class:`~repro.exec.jobs.SnapshotShardJob` per shard through the executor —
-workers sample their shard locally, so neither graph nor masks cross the
-pickle boundary — while :meth:`masks` re-derives the identical shard
-samples parent-side from the same seeds.  Shard seeds depend only on the
-pool seed, the request key, and the shard index, never on the executor, so
-warm-cache replay stays deterministic on every backend.  ``shards=1`` (the
-default) uses the exact legacy single-stream sampling path, preserving
-historical mask content bit for bit.
+Pools store masks as **packed bitsets** (one bit per edge — see
+:mod:`repro.utils.bitset`), so a resident pool costs m/8 bytes per
+snapshot.  Masks come from :func:`~repro.cascade.snapshots.sample_snapshots`
+— per-edge hash draws for IC/WC, which make the sample delta-stable:
+re-creating a pool with the same identity seed on a patched graph
+reproduces every clean structural shard bit for bit.  Pools whose seed is
+pinned at construction (``seed=``, as the incremental session does) read
+and fill the shard memo when caching is on, which turns that into the
+warm-pool splice; pools seeded by :meth:`token` skip it, since their
+random identity never recurs on another graph version.
 
 **Randomization contract (Theorem 1).**  The paper's mixed-equilibrium
 argument needs identical strategies played by different groups to produce
@@ -45,21 +38,16 @@ samples.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
 from repro.cache import cache_enabled, params_token, shard_memo
 from repro.cascade.base import CascadeModel
 from repro.cascade.kernels import resolve_kernel
-from repro.cascade.snapshots import (
-    SnapshotOracle,
-    sample_snapshots,
-    sample_stable_snapshots,
-)
+from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError
 from repro.exec.executor import Executor, resolve_executor
-from repro.exec.jobs import SnapshotGainsJob, SnapshotShardJob
+from repro.exec.jobs import SnapshotGainsJob
 from repro.graphs.digraph import DiGraph
 from repro.graphs.store import maybe_ref
 from repro.obs.metrics import counter
@@ -69,9 +57,7 @@ from repro.utils.shards import DEFAULT_NUM_SHARDS
 
 __all__ = [
     "MASKS_PER_JOB",
-    "SHARDS_ENV_VAR",
     "SnapshotPool",
-    "shard_counts",
     "snapshot_initial_gains",
 ]
 
@@ -80,42 +66,9 @@ __all__ = [
 #: chunking — and therefore pooled estimates — never depends on the backend.
 MASKS_PER_JOB = 8
 
-#: Environment override for the default shard count of new pools.
-SHARDS_ENV_VAR = "REPRO_SNAPSHOT_SHARDS"
-
 _POOL_SAMPLES = counter("cascade.pool_samples")
 _POOL_SHARED = counter("cascade.pool_shared")
 _POOL_MASK_BYTES = counter("cascade.pool_mask_bytes")
-
-
-def shard_counts(count: int, shards: int) -> list[int]:
-    """Split *count* snapshots into *shards* contiguous shard sizes.
-
-    Every shard gets ``count // shards`` snapshots and the first
-    ``count % shards`` shards one extra, so the split depends only on the
-    two integers — never on the executor or worker count.  Shards beyond
-    *count* would be empty and are dropped.
-    """
-    if shards <= 0:
-        raise CascadeError(f"shard count must be positive, got {shards}")
-    base, extra = divmod(int(count), int(shards))
-    sizes = [base + (1 if s < extra else 0) for s in range(shards)]
-    return [size for size in sizes if size > 0]
-
-
-def _default_shards() -> int:
-    raw = os.environ.get(SHARDS_ENV_VAR)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError as exc:
-        raise CascadeError(
-            f"{SHARDS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
-    if shards <= 0:
-        raise CascadeError(f"{SHARDS_ENV_VAR} must be positive, got {shards}")
-    return shards
 
 
 def snapshot_initial_gains(
@@ -150,27 +103,14 @@ class SnapshotPool:
     def __init__(
         self,
         graph: DiGraph,
-        packed: bool = True,
-        shards: int | None = None,
-        stable: bool = False,
-        struct_shards: int = DEFAULT_NUM_SHARDS,
         seed: int | None = None,
+        struct_shards: int = DEFAULT_NUM_SHARDS,
     ) -> None:
+        # Pass ``seed=`` to pin the pool identity — the incremental session
+        # does, so its patched pools splice to the cold sample — otherwise
+        # token(rng) draws one.
         self.graph = graph
-        self.packed = bool(packed)
-        self.shards = _default_shards() if shards is None else int(shards)
-        if self.shards <= 0:
-            raise CascadeError(
-                f"shard count must be positive, got {self.shards}"
-            )
-        # Stable pools draw mask bits from per-edge hashes
-        # (sample_stable_snapshots) instead of a sequential generator
-        # stream, which makes the sample delta-stable: re-creating the pool
-        # with the *same identity seed* on a patched graph reproduces every
-        # clean structural shard bit for bit (and serves it from the shard
-        # memo when caching is on).  Pass ``seed=`` to pin that identity —
-        # the incremental session does — otherwise token(rng) draws one.
-        self.stable = bool(stable)
+        self._pinned = seed is not None
         self.struct_shards = int(struct_shards)
         if self.struct_shards <= 0:
             raise CascadeError(
@@ -210,59 +150,19 @@ class SnapshotPool:
         )
         return int.from_bytes(digest.digest(), "big") >> 2
 
-    def _shard_seeds(self, key: tuple[object, int], count: int) -> list[tuple[int, int]]:
-        """Deterministic ``(seed, size)`` per shard of a ``count`` sample."""
-        return [
-            (self._child_seed((*key, "shard", s)), size)
-            for s, size in enumerate(shard_counts(count, self.shards))
-        ]
-
-    def _sample(self, model: CascadeModel, key: tuple[object, int], count: int) -> list[np.ndarray]:
-        if self.stable:
-            # Stable sampling is splittable by snapshot index, so the
-            # parent-side sample is one call regardless of the job fan-out
-            # (shard jobs cover [start, start+size) ranges of the same
-            # stream).  The shard memo turns clean-shard reuse across graph
-            # versions into the warm-pool splice.
-            return sample_stable_snapshots(
-                self.graph,
-                model,
-                count,
-                seed=self._child_seed(key),
-                packed=self.packed,
-                num_shards=self.struct_shards,
-                memo=shard_memo() if cache_enabled() else None,
-            )
-        if self.shards == 1:
-            # Exact legacy path: one stream seeded off the request key, so
-            # single-shard pools reproduce historical masks bit for bit.
-            return sample_snapshots(
-                self.graph,
-                model,
-                count,
-                as_rng(self._child_seed(key)),
-                packed=self.packed,
-            )
-        masks: list[np.ndarray] = []
-        for seed, size in self._shard_seeds(key, count):
-            masks.extend(
-                sample_snapshots(
-                    self.graph, model, size, as_rng(seed), packed=self.packed
-                )
-            )
-        return masks
-
     def masks(self, model: CascadeModel, count: int) -> list[np.ndarray]:
-        """The shared live-edge masks for ``(model, count)``; sampled once.
-
-        Packed pools return packed bitsets; shard boundaries (if any) are
-        invisible here — the list is always the concatenation of shard
-        samples in shard order.
-        """
+        """The shared packed live-edge masks for ``(model, count)``; sampled once."""
         key = self._request_key(model, count)
         masks = self._masks.get(key)
         if masks is None:
-            masks = self._sample(model, key, count)
+            masks = sample_snapshots(
+                self.graph,
+                model,
+                count,
+                self._child_seed(key),
+                num_shards=self.struct_shards,
+                memo=shard_memo() if self._pinned and cache_enabled() else None,
+            )
             self._masks[key] = masks
             _POOL_SAMPLES.inc()
             _POOL_MASK_BYTES.inc(packed_bytes(masks))
@@ -288,69 +188,12 @@ class SnapshotPool:
         count: int,
         executor: Executor | str | None = None,
     ) -> list[float]:
-        """The shared batched NewGreedy gains for ``(model, count)``.
-
-        Single-shard pools chunk the parent-side masks through
-        :func:`snapshot_initial_gains`; sharded pools instead submit one
-        :class:`~repro.exec.jobs.SnapshotShardJob` per shard, so workers
-        sample their own masks and only the O(1) shard description is
-        pickled.  Reach sizes are integers, so pooling the per-shard
-        estimates reproduces the gains of the concatenated sample exactly.
-        """
+        """The shared batched NewGreedy gains for ``(model, count)``."""
         key = self._request_key(model, count)
         gains = self._gains.get(key)
         if gains is None:
-            if self.shards == 1:
-                gains = snapshot_initial_gains(
-                    self.graph, self.masks(model, count), executor
-                )
-            else:
-                gains = self._sharded_gains(model, key, count, executor)
+            gains = snapshot_initial_gains(
+                self.graph, self.masks(model, count), executor
+            )
             self._gains[key] = gains
         return gains
-
-    def _sharded_gains(
-        self,
-        model: CascadeModel,
-        key: tuple[object, int],
-        count: int,
-        executor: Executor | str | None,
-    ) -> list[float]:
-        payload = maybe_ref(self.graph)
-        if self.stable:
-            # One stable stream, one [start, start+size) range per job — all
-            # jobs share the pool-level child seed, so the union of their
-            # shard samples is exactly the parent-side _sample result.
-            stable_seed = self._child_seed(key)
-            jobs = []
-            start = 0
-            for size in shard_counts(count, self.shards):
-                jobs.append(
-                    SnapshotShardJob(
-                        graph=payload,
-                        model=model,
-                        shard_seed=stable_seed,
-                        count=size,
-                        packed=self.packed,
-                        stable=True,
-                        start=start,
-                        struct_shards=self.struct_shards,
-                    )
-                )
-                start += size
-        else:
-            jobs = [
-                SnapshotShardJob(
-                    graph=payload,
-                    model=model,
-                    shard_seed=seed,
-                    count=size,
-                    packed=self.packed,
-                )
-                for seed, size in self._shard_seeds(key, count)
-            ]
-        per_shard = resolve_executor(executor).estimates(jobs)
-        pooled = list(per_shard[0])
-        for shard in per_shard[1:]:
-            pooled = [prev + new for prev, new in zip(pooled, shard)]
-        return [est.mean for est in pooled]

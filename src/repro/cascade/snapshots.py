@@ -27,42 +27,15 @@ from repro.cascade.kernels import (
 from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
 from repro.utils.bitset import is_packed, num_words, pack_bits, unpack_bits
-from repro.utils.rng import RandomSource, as_rng
+from repro.utils.rng import as_rng
 from repro.utils.shards import DEFAULT_NUM_SHARDS, shard_bounds
 
 if TYPE_CHECKING:
     from repro.cache.memo import Memo
 
 
-def sample_snapshots(
-    graph: DiGraph,
-    model: CascadeModel,
-    count: int,
-    rng: RandomSource = None,
-    packed: bool = False,
-) -> list[np.ndarray]:
-    """Draw *count* independent live-edge masks from *model* on *graph*.
-
-    With ``packed=True`` each mask is returned as a packed bitset
-    (``uint64`` words, 8x smaller) holding exactly the same bits — the
-    generator is consumed identically, so the packed sample is the packed
-    form of the boolean sample for the same *rng*.
-    """
-    if count <= 0:
-        raise CascadeError(f"snapshot count must be positive, got {count}")
-    generator = as_rng(rng)
-    masks = [model.sample_live_mask(graph, generator) for _ in range(count)]
-    if packed:
-        return [pack_bits(mask) for mask in masks]
-    return masks
-
-
-# --------------------------------------------------------------------------- #
-# delta-stable sampling
-# --------------------------------------------------------------------------- #
-
 # splitmix64 finalizer constants (Steele et al.); the avalanche mixer behind
-# the per-edge hash draws of stable sampling.
+# the per-edge hash draws of the sampler.
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -104,104 +77,91 @@ def _probs_digest(probs_slice: np.ndarray) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def sample_stable_snapshots(
+def sample_snapshots(
     graph: DiGraph,
     model: CascadeModel,
     count: int,
     seed: int,
-    start: int = 0,
-    packed: bool = False,
     num_shards: int = DEFAULT_NUM_SHARDS,
     memo: "Memo | None" = None,
 ) -> list[np.ndarray]:
-    """Draw snapshots ``start .. start + count`` from per-edge hash draws.
+    """Draw snapshots ``0 .. count`` of *model* on *graph* as packed bitsets.
 
-    The delta-stable counterpart of :func:`sample_snapshots`: mask bits are
-    computed shard by shard (structural node-range shards, see
-    :mod:`repro.utils.shards`) from :func:`stable_edge_draws`, so each
-    shard's slice is a pure function of ``(shard edges, edge probabilities,
-    seed, snapshot index)``.  Two consequences:
+    The one live-edge sampler.  For independent-per-edge models (IC, WC)
+    mask bits come from :func:`stable_edge_draws`, so each edge's bit is a
+    pure function of ``(seed, snapshot index, u, v)`` and its probability.
+    That makes the sample *delta-stable*: after an edge delta, the
+    structural node-range shards (see :mod:`repro.utils.shards`) the delta
+    left untouched produce byte-identical slices, which the optional
+    *memo* (keyed on shard structural hash + probability digest + seed +
+    index) turns into the warm-pool splice — clean shards are served from
+    cache, dirty shards are recomputed, and the resulting masks are
+    bit-identical to a cold sample on the patched graph.  Without a memo
+    all edges are drawn in one pass per snapshot (same bits).
 
-    * sampling is *splittable* — any snapshot range of any shard can be
-      produced independently (``start`` offsets shard jobs without
-      replaying earlier snapshots);
-    * sampling is *delta-stable* — after an edge delta, shards the delta
-      left untouched produce byte-identical slices, which the optional
-      *memo* (keyed on shard structural hash + probability digest + seed +
-      index) turns into the warm-pool splice: clean shards are served from
-      cache, dirty shards are recomputed, and the resulting masks are
-      bit-identical to a cold pool on the patched graph.
-
-    Requires an independent-per-edge model (IC, WC): models that override
-    ``sample_live_mask`` with coupled draws (LT's triggering sets) are
-    rejected — their snapshots cannot be decomposed per edge.
+    Models that override ``sample_live_mask`` with coupled draws (LT's
+    triggering sets) cannot be decomposed per edge; their snapshots come
+    from one sequential generator stream seeded by *seed* instead, and
+    *num_shards* / *memo* do not apply.
     """
     if count <= 0:
         raise CascadeError(f"snapshot count must be positive, got {count}")
-    if start < 0:
-        raise CascadeError(f"snapshot start must be non-negative, got {start}")
     if type(model).sample_live_mask is not CascadeModel.sample_live_mask:
-        raise CascadeError(
-            f"stable sampling requires independent per-edge draws; "
-            f"{type(model).__name__} overrides sample_live_mask"
-        )
+        generator = as_rng(seed)
+        return [
+            pack_bits(model.sample_live_mask(graph, generator))
+            for _ in range(count)
+        ]
+
+    probs = model.edge_probabilities(graph)
+    if memo is None:
+        src, dst = graph.edge_array()
+        return [
+            pack_bits(stable_edge_draws(seed, index, src, dst) < probs)
+            for index in range(count)
+        ]
 
     # Local import: repro.cache imports repro.utils, never repro.cascade,
     # so the runtime edge cascade -> cache is acyclic (pools does the same).
     from repro.cache.keys import shard_hashes
 
     n, m = graph.num_nodes, graph.num_edges
-    probs = model.edge_probabilities(graph)
     bounds = shard_bounds(n, num_shards)
     indptr, indices, eids = graph.out_indptr, graph.out_indices, graph.edge_ids
-    hashes = shard_hashes(graph, num_shards) if memo is not None else None
+    hashes = shard_hashes(graph, num_shards)
 
-    # Per-shard CSR slices: source ids, destinations, stable edge ids, and
-    # the probability slice (edge-id indexed probabilities gathered to CSR
-    # positions).  Built once and shared by every snapshot.
-    shards: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]] = []
+    # Per-shard CSR slices of the non-empty shards: source ids,
+    # destinations, stable edge ids, the probability slice (edge-id indexed
+    # probabilities gathered to CSR positions) and the shard's memo-key
+    # prefix.  Built once and shared by every snapshot.
+    shards: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]] = []
     for s in range(num_shards):
         lo, hi = int(bounds[s]), int(bounds[s + 1])
         p0, p1 = int(indptr[lo]), int(indptr[hi])
         if p0 == p1:
-            shards.append(
-                (
-                    np.zeros(0, np.int64),
-                    np.zeros(0, np.int64),
-                    np.zeros(0, np.int64),
-                    np.zeros(0, np.float64),
-                    s,
-                )
-            )
             continue
         degrees = np.asarray(indptr[lo : hi + 1] - indptr[lo])
         src = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(degrees))
         dst = np.asarray(indices[p0:p1], dtype=np.int64)
         shard_eids = np.asarray(eids[p0:p1])
-        shards.append((src, dst, shard_eids, probs[shard_eids], s))
-
-    digests = [_probs_digest(shard[3]) for shard in shards] if memo is not None else None
+        shard_probs = probs[shard_eids]
+        prefix = (hashes[s], _probs_digest(shard_probs))
+        shards.append((src, dst, shard_eids, shard_probs, prefix))
 
     masks: list[np.ndarray] = []
-    for index in range(start, start + count):
+    for index in range(count):
         mask = np.zeros(m, dtype=bool)
-        for src, dst, shard_eids, shard_probs, s in shards:
-            if shard_eids.size == 0:
-                continue
-            bits: np.ndarray | None = None
-            key: tuple[object, ...] | None = None
-            if memo is not None and hashes is not None and digests is not None:
-                key = ("stable", hashes[s], digests[s], int(seed), index)
-                stored = memo.get(key)
-                if stored is not None:
-                    bits = unpack_bits(stored[0], shard_eids.size)
-            if bits is None:
+        for src, dst, shard_eids, shard_probs, (shard_hash, digest) in shards:
+            key = ("stable", shard_hash, digest, int(seed), index)
+            stored = memo.get(key)
+            if stored is not None:
+                bits = unpack_bits(stored[0], shard_eids.size)
+            else:
                 bits = stable_edge_draws(seed, index, src, dst) < shard_probs
-                if memo is not None and key is not None:
-                    packed_bits = pack_bits(bits)
-                    memo.put(key, (packed_bits,), nbytes=packed_bits.nbytes)
+                packed_bits = pack_bits(bits)
+                memo.put(key, (packed_bits,), nbytes=packed_bits.nbytes)
             mask[shard_eids] = bits
-        masks.append(pack_bits(mask) if packed else mask)
+        masks.append(pack_bits(mask))
     return masks
 
 

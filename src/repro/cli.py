@@ -66,7 +66,7 @@ from repro.cascade import IndependentCascade, LinearThreshold, WeightedCascade
 from repro.core.getreal import get_real
 from repro.core.metrics import jaccard
 from repro.core.strategy import StrategySpace
-from repro.errors import JournalError
+from repro.errors import JournalError, ReproError
 from repro.cascade.kernels import KERNELS
 from repro.core.payoff import SYMMETRY_MODES
 from repro.exec.backends import BACKENDS
@@ -126,15 +126,14 @@ def _model(name: str, probability: float):
 
 
 def _algorithm(name: str, probability: float):
+    if name.lower() not in registered_algorithms():
+        raise SystemExit(
+            f"unknown algorithm {name!r}; registered: {registered_algorithms()}"
+        )
     kwargs = {}
     if name in ("mgic", "celfic", "ddic"):
         kwargs["probability"] = probability
-    try:
-        return get_algorithm(name, **kwargs)
-    except Exception as exc:
-        raise SystemExit(
-            f"unknown algorithm {name!r}; registered: {registered_algorithms()}"
-        ) from exc
+    return get_algorithm(name, **kwargs)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -478,7 +477,17 @@ def _kernel_override(kernel: str | None) -> Iterator[None]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _main(args, argv)
+    except (ReproError, ValueError) as exc:
+        # Typed error boundary: invalid input (a library error or a
+        # validation ValueError) is one line on stderr and exit code 2, the
+        # code argparse uses for bad arguments — never a traceback.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _main(args: argparse.Namespace, argv: list[str] | None) -> int:
     if args.command == "lint":
         return lint_run(args)
 

@@ -24,10 +24,7 @@ Concrete jobs covering the σ(·) quantities of the paper:
 * :class:`CompetitiveJob` — the per-group spreads ``(σ1, .., σr)`` of a
   full seed-set profile under the competitive engine;
 * :class:`SnapshotGainsJob` — exact per-node reach sizes over a chunk of
-  pre-sampled live-edge masks;
-* :class:`SnapshotShardJob` — the sharded variant: samples its own shard
-  of live-edge masks worker-side from a deterministic shard seed, so the
-  masks never cross the pickle boundary at all.
+  pre-sampled live-edge masks.
 
 ``CompetitiveJob`` optionally runs under **common random numbers**
 (``crn_base``): round *i* replays the stream seeded
@@ -51,11 +48,9 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.reachability import all_reach_sizes
-from repro.cascade.snapshots import sample_snapshots, sample_stable_snapshots
 from repro.graphs.digraph import DiGraph
 from repro.graphs.store import GraphRef, resolve_graph
 from repro.utils.rng import as_rng
-from repro.utils.shards import DEFAULT_NUM_SHARDS
 
 #: Modulus keeping derived common-random-number seeds inside numpy's range.
 _SEED_MODULUS = 2**63 - 1
@@ -164,19 +159,6 @@ class CompetitiveJob:
         )
 
 
-def _reach_estimates(
-    graph: DiGraph, masks: tuple[np.ndarray, ...] | list[np.ndarray]
-) -> tuple[SpreadEstimate, ...]:
-    """Per-node reach-size estimates over *masks* (samples = len(masks))."""
-    values = np.empty((len(masks), graph.num_nodes), dtype=float)
-    for i, mask in enumerate(masks):
-        values[i] = all_reach_sizes(graph, mask)
-    return tuple(
-        SpreadEstimate.from_values(values[:, v])
-        for v in range(graph.num_nodes)
-    )
-
-
 @dataclass(frozen=True)
 class SnapshotGainsJob:
     """Exact per-node reach sizes over a chunk of live-edge snapshots.
@@ -189,13 +171,11 @@ class SnapshotGainsJob:
     the full snapshot sample; reach sizes are integers, so the pooled
     means are exact regardless of how masks were chunked.
 
-    The job draws no randomness — masks are sampled by the caller (a
-    private ``select`` call or a shared per-group
+    The job draws no randomness — masks are sampled by the caller's
     :class:`~repro.cascade.pools.SnapshotPool`, which also memoizes the
-    pooled result of this batch) so the snapshot sample is identical no
+    pooled result of this batch, so the snapshot sample is identical no
     matter which backend evaluates it.  Masks may be boolean-style or
-    packed bitsets; for payloads that avoid shipping masks entirely, see
-    :class:`SnapshotShardJob`.
+    packed bitsets.
     """
 
     graph: DiGraph | GraphRef
@@ -206,68 +186,11 @@ class SnapshotGainsJob:
         return self.graph.num_nodes
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
-        return _reach_estimates(resolve_graph(self.graph), self.masks)
-
-
-@dataclass(frozen=True)
-class SnapshotShardJob:
-    """Sample one shard of live-edge snapshots worker-side and score it.
-
-    The sharded counterpart of :class:`SnapshotGainsJob`: instead of
-    receiving pre-sampled masks (O(edges) per payload), the job carries
-    only a deterministic ``shard_seed`` and samples its *count* masks
-    inside the worker, then runs the same per-node reach-size DP.  With a
-    :class:`~repro.graphs.store.GraphRef` graph payload the whole job
-    pickles in O(1) regardless of graph size.
-
-    Determinism: ``shard_seed`` is derived by the
-    :class:`~repro.cascade.pools.SnapshotPool` from its identity seed and
-    the shard index alone — *not* from the executor's per-job stream — so
-    the sampled masks depend only on (pool seed, shard layout) and
-    warm-cache replay reproduces them bit for bit on any backend.  The
-    parent can re-derive the same masks locally from the same seed
-    (:meth:`SnapshotPool.masks` does exactly that).
-
-    With ``stable=True`` the job instead draws snapshots ``start ..
-    start + count`` of the per-edge-hash stream
-    (:func:`~repro.cascade.snapshots.sample_stable_snapshots`) keyed by
-    ``shard_seed`` — here the *pool-level* stable seed shared by every job
-    of the batch, with ``start`` offsets partitioning the snapshot range.
-    ``struct_shards`` fixes the structural (node-range) shard layout so
-    worker-side samples match the parent's splice layout bit for bit.
-    """
-
-    graph: DiGraph | GraphRef
-    model: CascadeModel
-    shard_seed: int
-    count: int
-    packed: bool = True
-    stable: bool = False
-    start: int = 0
-    struct_shards: int = DEFAULT_NUM_SHARDS
-
-    @property
-    def num_nodes(self) -> int | None:
-        return self.graph.num_nodes
-
-    def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
         graph = resolve_graph(self.graph)
-        if self.stable:
-            masks = sample_stable_snapshots(
-                graph,
-                self.model,
-                self.count,
-                seed=self.shard_seed,
-                start=self.start,
-                packed=self.packed,
-                num_shards=self.struct_shards,
-            )
-        else:
-            masks = sample_snapshots(
-                graph,
-                self.model,
-                self.count,
-                as_rng(self.shard_seed),
-                packed=self.packed,
-            )
-        return _reach_estimates(graph, masks)
+        values = np.empty((len(self.masks), graph.num_nodes), dtype=float)
+        for i, mask in enumerate(self.masks):
+            values[i] = all_reach_sizes(graph, mask)
+        return tuple(
+            SpreadEstimate.from_values(values[:, v])
+            for v in range(graph.num_nodes)
+        )

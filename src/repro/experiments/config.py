@@ -27,14 +27,12 @@ equivalent across kernels (see ``docs/execution.md``).
 symmetric-reduced payoff estimation, and ``REPRO_CACHE=off`` disables the
 work-sharing selection/blocking caches (both in ``docs/execution.md``).
 
-Large-graph scale-out adds three more (see ``docs/architecture.md`` and
+Large-graph scale-out adds two more (see ``docs/architecture.md`` and
 the "large graphs" section of EXPERIMENTS.md): ``REPRO_GRAPH_STORE``
 points at a :class:`~repro.graphs.store.GraphStore` directory so job
 payloads carry O(1) ``GraphRef`` handles instead of CSR arrays;
-``REPRO_SNAPSHOT_SHARDS`` fans live-edge snapshot generation out across
-that many worker-side shards per pool; ``REPRO_DATA_DIR`` lets the
-``wiki`` dataset load the real SNAP wiki-Talk edge list instead of its
-synthetic surrogate.
+``REPRO_DATA_DIR`` lets the ``wiki`` dataset load the real SNAP wiki-Talk
+edge list instead of its synthetic surrogate.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ When the graph then changes by a handful of edges, almost none of that work
 is stale — and :class:`IncrementalSession` is the machinery that proves it:
 
 * **Stable snapshots** — the session's :class:`~repro.cascade.pools.SnapshotPool`
-  runs in *stable* mode (per-edge hash draws), so after
+  samples from per-edge hash draws under a pinned identity seed, so after
   :meth:`~IncrementalSession.apply_delta` the patched pool reproduces every
   clean structural shard bit for bit and only dirty shards are resampled
   (served through the shard memo — the warm-pool splice).
@@ -195,12 +195,7 @@ class IncrementalSession:
         return self._pool_seed
 
     def _pool(self, graph: DiGraph) -> SnapshotPool:
-        return SnapshotPool(
-            graph,
-            stable=True,
-            struct_shards=self.num_shards,
-            seed=self._pool_seed,
-        )
+        return SnapshotPool(graph, seed=self._pool_seed, struct_shards=self.num_shards)
 
     def _ensure_state(self) -> tuple[list[np.ndarray], np.ndarray, SnapshotOracle]:
         if self._masks is None or self._reach is None:

@@ -562,9 +562,8 @@ class UseSharedSnapshotPools(Rule):
     cache cannot key on it).  Snapshot-consuming strategies should declare
     ``uses_snapshots = True`` and take their masks, oracle, and initial
     gains from the :class:`repro.cascade.pools.SnapshotPool` passed to
-    ``_select_pooled``.  Where an independently randomized private sample
-    is semantically required (the no-pool fallback path preserving the
-    Theorem 1 footnote behaviour), carry an explicit suppression.
+    ``_select_pooled``; the no-pool fallback builds a private pool (the
+    Theorem 1 footnote behaviour) rather than sampling directly.
     """
 
     code: ClassVar[str] = "RP008"

@@ -87,7 +87,7 @@ class TestQuality:
         from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 
         model = IndependentCascade(0.2)
-        masks = sample_snapshots(karate, model, 30, rng=2)
+        masks = sample_snapshots(karate, model, 30, seed=2)
         oracle = SnapshotOracle(karate, masks)
         reached = oracle.reach([])
         gains = []
@@ -108,11 +108,13 @@ class TestQuality:
     def test_celf_matches_exhaustive_greedy(self):
         """CELF's lazy evaluation returns the same seeds as exhaustive greedy
         when both run against an identical snapshot set."""
-        from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
+        from repro.cascade.pools import SnapshotPool
+        from repro.cascade.snapshots import SnapshotOracle
 
         graph = erdos_renyi(30, 90, rng=3)
         model = IndependentCascade(0.3)
-        masks = sample_snapshots(graph, model, 20, rng=4)
+        pool = SnapshotPool(graph, seed=4)
+        masks = pool.masks(model, 20)
 
         # Exhaustive greedy on the fixed masks.
         oracle = SnapshotOracle(graph, masks)
@@ -129,16 +131,8 @@ class TestQuality:
             exhaustive.append(best_node)
             oracle.extend_reach(reached, best_node)
 
-        # CELF on the same masks: monkeypatch sampling to return them.
-        algo = CELFGreedy(model, num_snapshots=20)
-        import repro.algorithms.greedy as greedy_mod
-
-        original = greedy_mod.sample_snapshots
-        greedy_mod.sample_snapshots = lambda *args, **kwargs: masks
-        try:
-            lazy = algo.select(graph, 4, rng=0)
-        finally:
-            greedy_mod.sample_snapshots = original
+        # CELF on the same masks: select against the pool that holds them.
+        lazy = CELFGreedy(model, num_snapshots=20).select(graph, 4, rng=0, pool=pool)
 
         # Spreads must match exactly (identical possible worlds); the seed
         # identities may differ only on exact ties.

@@ -259,7 +259,7 @@ class TestNumpyReachability:
     def test_oracle_results_are_kernel_independent(self, random_graph):
         # The sweeps draw no randomness, so oracle numbers must be *exactly*
         # equal across kernels, not merely statistically close.
-        masks = sample_snapshots(random_graph, IndependentCascade(0.2), 8, rng=3)
+        masks = sample_snapshots(random_graph, IndependentCascade(0.2), 8, seed=3)
         py = SnapshotOracle(random_graph, masks, kernel="python")
         np_ = SnapshotOracle(random_graph, masks, kernel="numpy")
         seeds = [0, 9, 17]

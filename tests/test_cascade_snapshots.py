@@ -10,29 +10,31 @@ from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi
+from repro.utils.bitset import is_packed, num_words, popcount
 from repro.utils.rng import as_rng
 
 
 class TestSampleSnapshots:
     def test_count_and_shape(self, karate):
-        masks = sample_snapshots(karate, IndependentCascade(0.2), 5, rng=0)
+        masks = sample_snapshots(karate, IndependentCascade(0.2), 5, seed=0)
         assert len(masks) == 5
-        assert all(mask.shape == (karate.num_edges,) for mask in masks)
+        assert all(is_packed(mask) for mask in masks)
+        assert all(mask.shape == (num_words(karate.num_edges),) for mask in masks)
 
     def test_p_extremes(self, karate):
-        full = sample_snapshots(karate, IndependentCascade(1.0), 1, rng=0)[0]
-        empty = sample_snapshots(karate, IndependentCascade(0.0), 1, rng=0)[0]
-        assert full.all()
-        assert not empty.any()
+        full = sample_snapshots(karate, IndependentCascade(1.0), 1, seed=0)[0]
+        empty = sample_snapshots(karate, IndependentCascade(0.0), 1, seed=0)[0]
+        assert popcount(full) == karate.num_edges
+        assert popcount(empty) == 0
 
     def test_live_fraction_matches_p(self, karate):
-        masks = sample_snapshots(karate, IndependentCascade(0.3), 50, rng=1)
-        fraction = np.mean([m.mean() for m in masks])
+        masks = sample_snapshots(karate, IndependentCascade(0.3), 50, seed=1)
+        fraction = np.mean([popcount(m) / karate.num_edges for m in masks])
         assert fraction == pytest.approx(0.3, abs=0.03)
 
     def test_zero_count_rejected(self, karate):
         with pytest.raises(CascadeError, match="positive"):
-            sample_snapshots(karate, IndependentCascade(0.1), 0)
+            sample_snapshots(karate, IndependentCascade(0.1), 0, seed=0)
 
 
 class TestSnapshotOracle:
@@ -83,7 +85,7 @@ class TestSnapshotOracle:
 
     def test_greedy_identity_spread_equals_sum_of_gains(self, karate):
         # sigma(S) accumulated via marginal gains equals direct evaluation.
-        masks = sample_snapshots(karate, IndependentCascade(0.15), 10, rng=3)
+        masks = sample_snapshots(karate, IndependentCascade(0.15), 10, seed=3)
         oracle = SnapshotOracle(karate, masks)
         seeds = [0, 33, 5]
         reached = oracle.reach([])

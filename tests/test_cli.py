@@ -272,6 +272,25 @@ class TestGetRealCommand:
         assert kernels == {"numpy"}
 
 
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--probability", "1.5"], "probability must be in [0, 1]"),
+            (["--k", "0"], "k must be positive"),
+            (["--rounds", "0"], "rounds must be positive"),
+            (["--k", "100000"], "budget k=100000 exceeds"),
+        ],
+    )
+    def test_bad_input_is_one_line_exit_2(self, karate_file, capsys, flags, message):
+        argv = ["getreal", karate_file, "--strategies", "mgic,ddic", "--rounds", "2"]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "unknown algorithm" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestObsCommands:
     FIXTURE = os.path.join(
         os.path.dirname(__file__), "fixtures", "run_journal.jsonl"

@@ -108,7 +108,7 @@ class TestJobs:
         from repro.cascade.reachability import all_reach_sizes
         from repro.cascade.snapshots import sample_snapshots
 
-        masks = sample_snapshots(random_graph, model, 3, as_rng(11))
+        masks = sample_snapshots(random_graph, model, 3, seed=11)
         job = SnapshotGainsJob(graph=random_graph, masks=tuple(masks))
         ests = job.run(as_rng(0))
         assert len(ests) == random_graph.num_nodes

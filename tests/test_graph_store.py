@@ -10,9 +10,9 @@ import pytest
 
 from repro.errors import GraphError
 from repro.exec.executor import Executor
-from repro.exec.jobs import SnapshotShardJob, SpreadJob
+from repro.exec.jobs import SpreadJob
 from repro.cascade.ic import IndependentCascade
-from repro.cascade.pools import SnapshotPool, shard_counts
+from repro.cascade.pools import SnapshotPool
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.loaders import load_edge_list, stream_edge_array
@@ -26,7 +26,7 @@ from repro.graphs.store import (
     maybe_ref,
     resolve_graph,
 )
-from repro.utils.bitset import is_packed, unpack_bits
+from repro.utils.bitset import is_packed
 
 
 @pytest.fixture(autouse=True)
@@ -223,15 +223,10 @@ class TestLoaderVectorization:
 
 
 class TestShardedPools:
-    def test_shard_counts_split(self):
-        assert shard_counts(10, 4) == [3, 3, 2, 2]
-        assert shard_counts(3, 8) == [1, 1, 1]
-        with pytest.raises(Exception):
-            shard_counts(5, 0)
+    """Pools sample through structural node-range shards (one stream)."""
 
     def test_single_shard_masks_match_legacy_bool_sample(self, karate):
         from repro.cascade.snapshots import sample_snapshots
-        from repro.utils.rng import as_rng
 
         model = IndependentCascade(0.1)
         pool = SnapshotPool(karate)
@@ -239,59 +234,9 @@ class TestShardedPools:
         masks = pool.masks(model, 5)
         assert all(is_packed(m) for m in masks)
         key = pool._request_key(model, 5)
-        legacy = sample_snapshots(karate, model, 5, as_rng(pool._child_seed(key)))
-        for packed, expected in zip(masks, legacy):
-            np.testing.assert_array_equal(
-                unpack_bits(packed, karate.num_edges), expected
-            )
-
-    def test_sharded_masks_deterministic_and_complete(self, karate):
-        model = IndependentCascade(0.1)
-        one = SnapshotPool(karate, shards=3)
-        two = SnapshotPool(karate, shards=3)
-        one.token(7)
-        two.token(7)
-        a = one.masks(model, 10)
-        b = two.masks(model, 10)
-        assert len(a) == len(b) == 10
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_sharded_gains_match_single_shard(self, karate):
-        model = IndependentCascade(0.1)
-        flat = SnapshotPool(karate, shards=1)
-        sharded = SnapshotPool(karate, shards=4)
-        flat.token(5)
-        sharded.token(5)
-        # shard layouts differ, so compare against gains computed directly
-        # from each pool's own masks — pooling must be exact either way
-        from repro.cascade.pools import snapshot_initial_gains
-
-        for pool in (flat, sharded):
-            gains = pool.initial_gains(model, 8)
-            direct = snapshot_initial_gains(karate, pool.masks(model, 8))
-            assert gains == pytest.approx(direct)
-
-    def test_shard_job_matches_parent_side_masks(self, karate):
-        model = IndependentCascade(0.2)
-        pool = SnapshotPool(karate, shards=2)
-        pool.token(9)
-        key = pool._request_key(model, 6)
-        (seed0, size0), _ = pool._shard_seeds(key, 6)
-        job = SnapshotShardJob(
-            graph=karate, model=model, shard_seed=seed0, count=size0
-        )
-        estimates = job.run(np.random.default_rng(0))
-        assert len(estimates) == karate.num_nodes
-        assert all(e.samples == size0 for e in estimates)
-
-    def test_env_shards_override(self, karate, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_SHARDS", "3")
-        pool = SnapshotPool(karate)
-        assert pool.shards == 3
-        monkeypatch.setenv("REPRO_SNAPSHOT_SHARDS", "bogus")
-        with pytest.raises(Exception):
-            SnapshotPool(karate)
+        expected = sample_snapshots(karate, model, 5, seed=pool._child_seed(key))
+        for packed, want in zip(masks, expected):
+            np.testing.assert_array_equal(packed, want)
 
 
 class TestPayloadMetric:

@@ -7,16 +7,14 @@ import pytest
 from repro.cache import clear_caches, shard_memo
 from repro.cache.memo import Memo
 from repro.cascade.ic import IndependentCascade
-from repro.cascade.lt import LinearThreshold
 from repro.cascade.pools import SnapshotPool
 from repro.cascade.snapshots import (
     SnapshotOracle,
-    sample_stable_snapshots,
+    sample_snapshots,
     stable_edge_draws,
 )
 from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError, GraphError
-from repro.exec.executor import build_executor
 from repro.graphs.delta import EdgeDelta, merge_delta
 from repro.graphs.generators import erdos_renyi
 from repro.incremental import (
@@ -90,34 +88,29 @@ class TestStableEdgeDraws:
 class TestStableSampling:
     def test_deterministic(self):
         graph, _ = graph_and_delta()
-        a = sample_stable_snapshots(graph, MODEL, 3, seed=9)
-        b = sample_stable_snapshots(graph, MODEL, 3, seed=9)
+        a = sample_snapshots(graph, MODEL, 3, seed=9)
+        b = sample_snapshots(graph, MODEL, 3, seed=9)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
-    def test_start_offsets_splittable(self):
-        graph, _ = graph_and_delta()
-        whole = sample_stable_snapshots(graph, MODEL, 4, seed=5)
-        head = sample_stable_snapshots(graph, MODEL, 2, seed=5)
-        tail = sample_stable_snapshots(graph, MODEL, 2, seed=5, start=2)
-        for x, y in zip(whole, head + tail):
-            np.testing.assert_array_equal(x, y)
-
     def test_packed_matches_boolean(self):
+        """The packed masks hold exactly the per-edge draws' bits."""
         graph, _ = graph_and_delta()
-        plain = sample_stable_snapshots(graph, MODEL, 2, seed=5)
-        packed = sample_stable_snapshots(graph, MODEL, 2, seed=5, packed=True)
-        for mask, words in zip(plain, packed):
+        src, dst = graph.edge_array()
+        probs = MODEL.edge_probabilities(graph)
+        masks = sample_snapshots(graph, MODEL, 2, seed=5)
+        for index, words in enumerate(masks):
             np.testing.assert_array_equal(
-                mask, unpack_bits(words, graph.num_edges)
+                unpack_bits(words, graph.num_edges),
+                stable_edge_draws(5, index, src, dst) < probs,
             )
 
     def test_memo_path_bit_identical(self):
         graph, _ = graph_and_delta()
         memo = Memo("test-stable")
-        cold = sample_stable_snapshots(graph, MODEL, 3, seed=5)
-        warmed = sample_stable_snapshots(graph, MODEL, 3, seed=5, memo=memo)
-        served = sample_stable_snapshots(graph, MODEL, 3, seed=5, memo=memo)
+        cold = sample_snapshots(graph, MODEL, 3, seed=5)
+        warmed = sample_snapshots(graph, MODEL, 3, seed=5, memo=memo)
+        served = sample_snapshots(graph, MODEL, 3, seed=5, memo=memo)
         assert len(memo) > 0
         for c, w, s in zip(cold, warmed, served):
             np.testing.assert_array_equal(c, w)
@@ -129,10 +122,10 @@ class TestStableSampling:
         graph, delta = graph_and_delta()
         child = merge_delta(graph, delta).graph
         memo = Memo("test-stable", capacity=4096)
-        sample_stable_snapshots(graph, MODEL, 3, seed=5, memo=memo)
+        sample_snapshots(graph, MODEL, 3, seed=5, memo=memo)
         entries_after_parent = len(memo)
-        warm = sample_stable_snapshots(child, MODEL, 3, seed=5, memo=memo)
-        cold = sample_stable_snapshots(child, MODEL, 3, seed=5)
+        warm = sample_snapshots(child, MODEL, 3, seed=5, memo=memo)
+        cold = sample_snapshots(child, MODEL, 3, seed=5)
         for w, c in zip(warm, cold):
             np.testing.assert_array_equal(w, c)
         # Only dirty shards added new entries.
@@ -145,21 +138,16 @@ class TestStableSampling:
         child = merge_delta(graph, delta).graph
         model = WeightedCascade()
         memo = Memo("test-stable", capacity=4096)
-        sample_stable_snapshots(graph, model, 2, seed=5, memo=memo)
-        warm = sample_stable_snapshots(child, model, 2, seed=5, memo=memo)
-        cold = sample_stable_snapshots(child, model, 2, seed=5)
+        sample_snapshots(graph, model, 2, seed=5, memo=memo)
+        warm = sample_snapshots(child, model, 2, seed=5, memo=memo)
+        cold = sample_snapshots(child, model, 2, seed=5)
         for w, c in zip(warm, cold):
             np.testing.assert_array_equal(w, c)
-
-    def test_lt_model_rejected(self):
-        graph, _ = graph_and_delta()
-        with pytest.raises(CascadeError, match="stable"):
-            sample_stable_snapshots(graph, LinearThreshold(), 1, seed=5)
 
     def test_bad_count_rejected(self):
         graph, _ = graph_and_delta()
         with pytest.raises(CascadeError):
-            sample_stable_snapshots(graph, MODEL, 0, seed=5)
+            sample_snapshots(graph, MODEL, 0, seed=5)
 
 
 class TestStablePools:
@@ -167,38 +155,27 @@ class TestStablePools:
         """Two stable pools with one identity seed sample identical masks;
         a different identity seed diverges."""
         graph, _ = graph_and_delta()
-        a = SnapshotPool(graph, stable=True, seed=123).masks(MODEL, 3)
-        b = SnapshotPool(graph, stable=True, seed=123).masks(MODEL, 3)
-        c = SnapshotPool(graph, stable=True, seed=124).masks(MODEL, 3)
+        a = SnapshotPool(graph, seed=123).masks(MODEL, 3)
+        b = SnapshotPool(graph, seed=123).masks(MODEL, 3)
+        c = SnapshotPool(graph, seed=124).masks(MODEL, 3)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
         assert any(not np.array_equal(x, z) for x, z in zip(a, c))
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_sharded_gains_backend_invariant(self, backend):
-        graph, _ = graph_and_delta()
-        baseline = SnapshotPool(
-            graph, stable=True, shards=1, seed=7
-        ).initial_gains(MODEL, 4)
-        sharded = SnapshotPool(
-            graph, stable=True, shards=3, seed=7
-        ).initial_gains(MODEL, 4, executor=build_executor(backend, workers=2))
-        assert sharded == baseline
-
     def test_warm_pool_splices_to_cold(self):
         graph, delta = graph_and_delta()
         child = merge_delta(graph, delta).graph
-        SnapshotPool(graph, stable=True, seed=11).masks(MODEL, 3)
-        warm = SnapshotPool(child, stable=True, seed=11).masks(MODEL, 3)
+        SnapshotPool(graph, seed=11).masks(MODEL, 3)
+        warm = SnapshotPool(child, seed=11).masks(MODEL, 3)
         clear_caches()
-        cold = SnapshotPool(child, stable=True, seed=11).masks(MODEL, 3)
+        cold = SnapshotPool(child, seed=11).masks(MODEL, 3)
         for w, c in zip(warm, cold):
             np.testing.assert_array_equal(w, c)
 
 
 class TestRepairCelf:
     def _oracle_and_gains(self, graph, seed=3, count=4):
-        masks = sample_stable_snapshots(graph, MODEL, count, seed=seed)
+        masks = sample_snapshots(graph, MODEL, count, seed=seed)
         oracle = SnapshotOracle(graph, masks)
         from repro.cascade.reachability import all_reach_sizes
 

@@ -12,12 +12,17 @@ import pytest
 
 from repro.algorithms.degree_discount import DegreeDiscount
 from repro.algorithms.greedy import CELFGreedy, MixGreedy
+from repro.cache import clear_caches, shard_memo
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.kernels import reachable_mask, reachable_mask_batch
+from repro.cascade.lt import LinearThreshold
 from repro.cascade.pools import SnapshotPool, snapshot_initial_gains
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError
+from repro.exec.executor import build_executor
 from repro.obs.metrics import counter
+from repro.utils.bitset import unpack_bits
+from repro.utils.rng import as_rng
 
 _POOL_SAMPLES = counter("cascade.pool_samples")
 _POOL_SHARED = counter("cascade.pool_shared")
@@ -81,6 +86,32 @@ class TestSnapshotPool:
         assert pool.oracle(model, 6) is pool.oracle(model, 6)
         assert pool.initial_gains(model, 6) is pool.initial_gains(model, 6)
 
+    def test_lt_pool_samples_sequential_stream(self, karate):
+        # LT's triggering sets cannot be drawn per edge: the pool's sample
+        # is the sequential stream seeded by the request's child seed.
+        model = LinearThreshold()
+        pool = SnapshotPool(karate, seed=3)
+        masks = pool.masks(model, 4)
+        generator = as_rng(pool._child_seed(pool._request_key(model, 4)))
+        for words in masks:
+            np.testing.assert_array_equal(
+                unpack_bits(words, karate.num_edges),
+                model.sample_live_mask(karate, generator),
+            )
+
+    def test_only_pinned_pools_use_shard_memo(self, karate):
+        # A token-seeded identity never recurs on another graph version,
+        # so only pinned pools (the incremental session's) fill the memo.
+        clear_caches()
+        model = IndependentCascade(0.1)
+        drawn = SnapshotPool(karate)
+        drawn.token(np.random.default_rng(1))
+        drawn.masks(model, 3)
+        assert len(shard_memo()) == 0
+        SnapshotPool(karate, seed=1).masks(model, 3)
+        assert len(shard_memo()) > 0
+        clear_caches()
+
     def test_per_group_pools_are_independent(self, karate):
         # Theorem 1: each group draws its own live-edge sample, so two
         # groups playing the same strategy see different snapshots.
@@ -119,20 +150,20 @@ class TestPooledSelection:
         assert with_pool == without
         assert not pool.seeded  # the pool was never touched
 
-    def test_pooled_matches_gains_helper(self, karate):
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_pooled_matches_gains_helper(self, karate, backend):
         model = IndependentCascade(0.1)
         pool = SnapshotPool(karate)
         pool.token(np.random.default_rng(7))
         masks = pool.masks(model, 10)
         direct = snapshot_initial_gains(karate, masks)
-        assert pool.initial_gains(model, 10) == direct
+        with build_executor(backend, workers=2) as executor:
+            assert pool.initial_gains(model, 10, executor) == direct
 
 
 class TestReachableMaskBatch:
     def _masks(self, graph, count, seed):
-        return sample_snapshots(
-            graph, IndependentCascade(0.3), count, np.random.default_rng(seed)
-        )
+        return sample_snapshots(graph, IndependentCascade(0.3), count, seed=seed)
 
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_bit_identical_to_sequential_sweep(self, random_graph, kernel):
@@ -169,7 +200,7 @@ class TestBatchedOracle:
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_spread_matches_per_mask_average(self, random_graph, kernel):
         masks = sample_snapshots(
-            random_graph, IndependentCascade(0.2), 9, np.random.default_rng(12)
+            random_graph, IndependentCascade(0.2), 9, seed=12
         )
         oracle = SnapshotOracle(random_graph, masks, kernel=kernel)
         seeds = [0, 5]
@@ -187,7 +218,7 @@ class TestBatchedOracle:
         # extend_reach mutates the returned rows in place; the batch sweep
         # must hand back per-snapshot rows that tolerate that.
         masks = sample_snapshots(
-            random_graph, IndependentCascade(0.2), 4, np.random.default_rng(13)
+            random_graph, IndependentCascade(0.2), 4, seed=13
         )
         oracle = SnapshotOracle(random_graph, masks)
         reached = oracle.reach([0])
@@ -198,7 +229,7 @@ class TestBatchedOracle:
 
     def test_kernel_independent_oracle(self, random_graph):
         masks = sample_snapshots(
-            random_graph, IndependentCascade(0.2), 6, np.random.default_rng(14)
+            random_graph, IndependentCascade(0.2), 6, seed=14
         )
         py = SnapshotOracle(random_graph, masks, kernel="python")
         np_ = SnapshotOracle(random_graph, masks, kernel="numpy")

@@ -136,10 +136,8 @@ class TestCrossKernelBitIdentity:
     @pytest.mark.parametrize("kernel", ["python", "numpy"])
     def test_oracle_identical(self, graph, kernel):
         model = IndependentCascade(0.1)
-        bool_masks = sample_snapshots(graph, model, 4, 99)
-        packed_masks = sample_snapshots(graph, model, 4, 99, packed=True)
-        for b, p in zip(bool_masks, packed_masks):
-            np.testing.assert_array_equal(b, unpack_bits(p, graph.num_edges))
+        packed_masks = sample_snapshots(graph, model, 4, 99)
+        bool_masks = [unpack_bits(p, graph.num_edges) for p in packed_masks]
         bool_oracle = SnapshotOracle(graph, bool_masks, kernel=kernel)
         packed_oracle = SnapshotOracle(graph, packed_masks, kernel=kernel)
         assert is_packed(packed_oracle.mask_matrix)
@@ -150,8 +148,8 @@ class TestCrossKernelBitIdentity:
 
     def test_oracle_incremental_identical(self, graph):
         model = IndependentCascade(0.15)
-        bool_masks = sample_snapshots(graph, model, 3, 7)
-        packed_masks = [pack_bits(m) for m in bool_masks]
+        packed_masks = sample_snapshots(graph, model, 3, 7)
+        bool_masks = [unpack_bits(m, graph.num_edges) for m in packed_masks]
         bool_oracle = SnapshotOracle(graph, bool_masks)
         packed_oracle = SnapshotOracle(graph, packed_masks)
         b_reached = bool_oracle.reach([5])
@@ -166,7 +164,10 @@ class TestCrossKernelBitIdentity:
 
     def test_mixed_masks_normalize_to_bool_matrix(self, graph):
         model = IndependentCascade(0.1)
-        masks = sample_snapshots(graph, model, 2, 13)
+        masks = [
+            unpack_bits(m, graph.num_edges)
+            for m in sample_snapshots(graph, model, 2, 13)
+        ]
         mixed = [masks[0], pack_bits(masks[1])]
         oracle = SnapshotOracle(graph, mixed)
         assert oracle.mask_matrix.dtype == bool
