@@ -3,16 +3,18 @@
 ``MixGreedy`` is the algorithm of Chen, Wang & Yang (KDD'09) the paper uses
 as its strong strategy (MGIC under IC, MGWC under WC): sample ``R``
 live-edge snapshots once, compute the exact first-round spread of *every*
-node on them via SCC-condensation reachability (the NewGreedy step), then
-run CELF lazy-greedy for the remaining ``k−1`` picks against the same
-snapshots.  Because the snapshots are freshly sampled per ``select`` call
-(a private :class:`~repro.cascade.pools.SnapshotPool` seeded from the
-caller's generator), the algorithm is randomized — two groups running
+node on them (the NewGreedy step: scipy strong components, then a bitset
+DP over the condensation DAG batched per height level — see
+:mod:`repro.cascade.reachability`), then run CELF lazy-greedy for the
+remaining ``k−1`` picks against the same snapshots.  Because the
+snapshots are freshly sampled per ``select`` call (a private
+:class:`~repro.cascade.pools.SnapshotPool` seeded from the caller's
+generator), the algorithm is randomized — two groups running
 MixGreedy independently get overlapping but not identical seed sets, which
 is exactly the behaviour the paper's Theorem 1 footnote relies on.
 
-The NewGreedy step dominates the cost and is embarrassingly parallel per
-snapshot, so it is fanned out through the execution engine as a batch of
+The NewGreedy step is embarrassingly parallel per snapshot, so it is
+fanned out through the execution engine as a batch of
 :class:`~repro.exec.jobs.SnapshotGainsJob` chunks (fixed chunk size, so the
 split — and therefore the result — never depends on the worker count).
 The CELF refinement stays in-process: its lazy re-evaluations are

@@ -11,7 +11,8 @@ group and memoizes, per ``(model, count)``:
 * the :class:`~repro.cascade.snapshots.SnapshotOracle` built on them, per
   kernel (:meth:`oracle`),
 * the batched initial gains (:meth:`initial_gains`, shared between
-  MixGreedy and CELFGreedy).
+  MixGreedy and CELFGreedy): per-node mean reach sizes from
+  :func:`snapshot_initial_gains`.
 
 Pools store masks as **packed bitsets** (one bit per edge — see
 :mod:`repro.utils.bitset`), so a resident pool costs m/8 bytes per
@@ -78,9 +79,11 @@ def snapshot_initial_gains(
 ) -> list[float]:
     """Batched per-node NewGreedy gains over *masks* (one chunk per job).
 
-    This is the expensive all-nodes reachability pass both MixGreedy and
-    CELFGreedy start from; it lives here so a :class:`SnapshotPool` can
-    compute it once per ``(model, count)`` and serve every consumer.  The
+    This is the all-nodes reachability pass both MixGreedy and CELFGreedy
+    start from (:func:`~repro.cascade.reachability.all_reach_sizes` per
+    mask); it lives here so a :class:`SnapshotPool` can compute it once per
+    ``(model, count)`` and serve every consumer.  Reach sizes are integers,
+    so the pooled means do not depend on how masks are chunked.  The
     graph payload is shrunk to a :class:`~repro.graphs.store.GraphRef`
     when a default graph store is configured (see
     :func:`repro.graphs.store.maybe_ref`).

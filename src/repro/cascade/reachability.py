@@ -2,84 +2,92 @@
 
 ``NewGreedy`` (Chen, Wang & Yang, KDD'09) — the first round of MixGreedy —
 needs, for each snapshot, the size of the reachable set of *every* node.
-Running a BFS from each node is quadratic in the worst case; instead we
-condense the live subgraph into its strongly connected components (iterative
-Tarjan) and propagate reachable-set *bitsets* through the condensation DAG
-in reverse topological order.  Bitsets are freed as soon as every parent has
-consumed them, so peak memory tracks the DAG frontier rather than the whole
-graph.
+Running a BFS from each node is quadratic in the worst case; instead the
+live subgraph is condensed into its strongly connected components
+(``scipy.sparse.csgraph``) and reachable-set *bitsets* are propagated
+through the condensation DAG.
 
-The DP bitsets are packed ``uint64`` words (:mod:`repro.utils.bitset`) —
-one bit per node instead of a byte — so the live DAG frontier costs n/8
-bytes per component, and the union step (``|=``) and the popcount both run
-64 nodes per instruction.  *edge_mask* may itself be boolean-style or
-packed; results are bit-identical either way.
+The DP has no per-node Python loop:
+
+* the live edges come out of the CSR with one mask lookup;
+* a sink component (no live edge leaves it — every isolated node is one)
+  reaches exactly its own members, so it takes its size directly;
+* every other component gets a row: one ``np.bitwise_or.at`` sets the
+  bits of its members and of its small sink children, then child rows are
+  ORed into parent rows one *height* (longest path to a sink) at a time —
+  children sit strictly lower, so every row a level reads is final, and a
+  level costs one batched ``np.bitwise_or.at`` however many components it
+  holds;
+* one popcount per row gives the reach size of every component.
+
+Reach sets never leave a weakly connected component, so bit positions are
+local to each one and a row is as wide as its weak component, not n bits.
+Rows are packed ``uint64`` words (:mod:`repro.utils.bitset`), so unions and
+popcounts run 64 nodes per instruction, and the batched steps work through
+slices of at most ``_BATCH_WORDS`` words, which bounds their temporaries.
+Peak memory is the rows of the non-sink components plus O(n + m)
+index arrays: about 100 MB on one WC snapshot of a 200k-node power-law
+graph (``powerlaw_configuration(200_000, 200_000)``).
+
+*edge_mask* may be boolean-style or packed; results are bit-identical
+either way, and to a BFS from every node.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.graphs.digraph import DiGraph
-from repro.utils.bitset import lookup_bits, packed_zeros, popcount, set_bits
+from repro.utils.bitset import WORD_BITS, lookup_bits
+
+#: Upper bound on the child-row words one ``np.bitwise_or.at`` call
+#: gathers; bounds the DP's temporaries, not its result.
+_BATCH_WORDS = 1 << 21
 
 
-def _tarjan_scc(num_nodes: int, adj: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Iterative Tarjan; returns (component id per node, component count).
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + k) for s, k in zip(starts, lengths)])``."""
+    shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(shift.size, dtype=np.int64) + shift
 
-    Component ids are assigned in reverse topological order of the
-    condensation: if component A has an edge to component B, then
-    ``id(A) > id(B)``.
+
+def _bounded_slices(cum: np.ndarray, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Split items ``start .. stop`` into runs of at most ``_BATCH_WORDS`` words.
+
+    *cum* is the running word total per item.  A run always holds at least
+    one item, so one oversized item forms a run of its own.
     """
-    index = np.full(num_nodes, -1, dtype=np.int64)
-    lowlink = np.zeros(num_nodes, dtype=np.int64)
-    on_stack = np.zeros(num_nodes, dtype=bool)
-    comp = np.full(num_nodes, -1, dtype=np.int64)
-    stack: list[int] = []
-    next_index = 0
-    next_comp = 0
+    while start < stop:
+        base = int(cum[start - 1]) if start else 0
+        end = min(stop, max(start + 1, int(np.searchsorted(cum, base + _BATCH_WORDS, "right"))))
+        yield start, end
+        start = end
 
-    for root in range(num_nodes):
-        if index[root] != -1:
-            continue
-        # Each work item is (node, iterator position into adj[node]).
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = lowlink[v] = next_index
-                next_index += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj[v]
-            while pos < len(neighbors):
-                w = int(neighbors[pos])
-                pos += 1
-                if index[w] == -1:
-                    work[-1][1] = pos
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work[-1][1] = pos
-            if pos >= len(neighbors):
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = next_comp
-                        if w == v:
-                            break
-                    next_comp += 1
-    return comp, next_comp
+
+def _heights(parent: np.ndarray, child: np.ndarray, num_comps: int) -> np.ndarray:
+    """Longest path from each condensation component down to a sink.
+
+    Peels the DAG from its sinks: a component gets height ``h`` once every
+    child has a height below ``h``.
+    """
+    by_child = np.argsort(child, kind="stable")
+    child_ptr = np.zeros(num_comps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(child, minlength=num_comps), out=child_ptr[1:])
+    pending = np.bincount(parent, minlength=num_comps)
+    height = np.zeros(num_comps, dtype=np.int64)
+    frontier = np.flatnonzero(pending == 0)
+    h = 0
+    while frontier.size:
+        starts = child_ptr[frontier]
+        edges = by_child[_concat_ranges(starts, child_ptr[frontier + 1] - starts)]
+        ready, counts = np.unique(parent[edges], return_counts=True)
+        pending[ready] -= counts
+        frontier = ready[pending[ready] == 0]
+        h += 1
+        height[frontier] = h
+    return height
 
 
 def all_reach_sizes(graph: DiGraph, edge_mask: np.ndarray | None = None) -> np.ndarray:
@@ -88,51 +96,97 @@ def all_reach_sizes(graph: DiGraph, edge_mask: np.ndarray | None = None) -> np.n
     Returns an integer array ``sizes`` with ``sizes[v] = |R(v)|`` including
     *v* itself.  *edge_mask* may be boolean-style or a packed bitset.
     """
+    # Imported here so runs that never call the DP do not load csgraph.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = graph.num_nodes
     if n == 0:
         return np.zeros(0, dtype=np.int64)
 
-    # Materialize the (masked) adjacency once.
-    adj: list[np.ndarray] = []
-    for u in range(n):
-        # one-shot adjacency materialization for the SCC DP (not a
-        # frontier walk; the DP itself is vectorized per component)
-        nbrs = graph.out_neighbors(u)  # reprolint: disable=RP007
-        if edge_mask is not None and nbrs.size:
-            nbrs = nbrs[lookup_bits(edge_mask, graph.out_edge_ids(u))]  # reprolint: disable=RP007
-        adj.append(nbrs)
+    # Live subgraph as a CSR matrix; filtering keeps the out-CSR's order.
+    indptr = graph.out_indptr
+    dst = graph.out_indices
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    if edge_mask is not None:
+        live = lookup_bits(edge_mask, graph.edge_ids)
+        src, dst = src[live], dst[live]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    if dst.size == 0:
+        return np.ones(n, dtype=np.int64)
+    live_graph = csr_matrix((np.ones(dst.size), dst, indptr), shape=(n, n))
+    count, labels = connected_components(live_graph, directed=True, connection="strong")
+    num_comps = int(count)
+    comp = np.asarray(labels, dtype=np.int64)
 
-    comp, num_comps = _tarjan_scc(n, adj)
+    # Condensation DAG, edges sorted by parent then child.
+    cs, cd = comp[src], comp[dst]
+    cross = cs != cd
+    parent, child = np.divmod(np.unique(cs[cross] * num_comps + cd[cross]), num_comps)
+    comp_size = np.bincount(comp, minlength=num_comps)
+    if parent.size == 0:
+        return comp_size[comp]  # every component is a sink
 
-    # Condensation edges and member lists.
-    members: list[list[int]] = [[] for _ in range(num_comps)]
-    for v in range(n):
-        members[comp[v]].append(v)
-    children: list[set[int]] = [set() for _ in range(num_comps)]
-    pending_parents = np.zeros(num_comps, dtype=np.int64)
-    for u in range(n):
-        cu = comp[u]
-        for w in adj[u]:
-            cw = comp[int(w)]
-            if cw != cu and cw not in children[cu]:
-                children[cu].add(cw)
-                pending_parents[cw] += 1
+    # Bit positions are local to the weak component, so a row is as wide
+    # as its weak component, not n bits.
+    _, weak = connected_components(live_graph, directed=True, connection="weak")
+    weak_size = np.bincount(weak)
+    local = np.empty(n, dtype=np.int64)
+    local[np.argsort(weak, kind="stable")] = np.arange(n) - np.repeat(
+        np.cumsum(weak_size) - weak_size, weak_size
+    )
+    words = np.zeros(num_comps, dtype=np.int64)
+    words[comp] = (weak_size[weak] + WORD_BITS - 1) // WORD_BITS
 
-    # Tarjan emitted components in reverse topological order: children first.
-    # Reach sets are packed bitsets (one bit per node); unions and size
-    # counts operate on whole uint64 words.
-    sizes = np.zeros(n, dtype=np.int64)
-    reach: dict[int, np.ndarray] = {}
-    for c in range(num_comps):
-        bits = packed_zeros(n)
-        set_bits(bits, np.asarray(members[c], dtype=np.int64))
-        for child in children[c]:
-            bits |= reach[child]
-            pending_parents[child] -= 1
-            if pending_parents[child] == 0:
-                del reach[child]  # no remaining consumers; free the bitset
-        size = popcount(bits)
-        sizes[members[c]] = size
-        if pending_parents[c] > 0:
-            reach[c] = bits
-    return sizes
+    # Every non-sink component gets a row.  A sink gets one only if some
+    # parent reads it and it has more members than its row has words;
+    # otherwise its parents set its members' bits directly.
+    height = _heights(parent, child, num_comps)
+    has_row = height > 0
+    has_row[child] |= comp_size[child] > words[child]
+    rowed = np.flatnonzero(has_row)
+    row_at = np.zeros(num_comps, dtype=np.int64)
+    row_at[rowed] = np.cumsum(words[rowed]) - words[rowed]
+    rows = np.zeros(int(words[rowed].sum()), dtype=np.uint64)
+
+    # Seed each row with its own members and those of its row-less children.
+    own = np.flatnonzero(has_row[comp])
+    members = np.argsort(comp, kind="stable")
+    member_ptr = np.zeros(num_comps + 1, dtype=np.int64)
+    np.cumsum(comp_size, out=member_ptr[1:])
+    into_row = has_row[child]
+    leaf = child[~into_row]
+    bit_node = np.concatenate([own, members[_concat_ranges(member_ptr[leaf], comp_size[leaf])]])
+    bit_row = np.concatenate([comp[own], np.repeat(parent[~into_row], comp_size[leaf])])
+    pos = local[bit_node]
+    bits = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
+    np.bitwise_or.at(rows, row_at[bit_row] + (pos >> 6), bits)
+
+    # OR child rows into parent rows one height level at a time: a child
+    # sits strictly lower than its parent, so every row a level reads is
+    # final.
+    order = np.argsort(height[parent[into_row]], kind="stable")
+    up, down = parent[into_row][order], child[into_row][order]
+    span = words[down]
+    done = np.cumsum(span)
+    start = 0
+    for end in np.searchsorted(height[up], np.arange(1, height.max() + 1), "right").tolist():
+        for i, j in _bounded_slices(done, start, end):
+            np.bitwise_or.at(
+                rows,
+                _concat_ranges(row_at[up[i:j]], span[i:j]),
+                rows[_concat_ranges(row_at[down[i:j]], span[i:j])],
+            )
+        start = end
+
+    # Popcount every row; rows lie back to back, so row ends are running
+    # word totals.
+    reach = comp_size.copy()
+    row_end = row_at[rowed] + words[rowed]
+    for i, j in _bounded_slices(row_end, 0, rowed.size):
+        lo = row_at[rowed[i]]
+        reach[rowed[i:j]] = np.add.reduceat(
+            np.bitwise_count(rows[lo : row_end[j - 1]]), row_at[rowed[i:j]] - lo, dtype=np.int64
+        )
+    return reach[comp]

@@ -48,6 +48,7 @@ from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion, TieBreakRule
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.reachability import all_reach_sizes
+from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.store import GraphRef, resolve_graph
 from repro.utils.rng import as_rng
@@ -164,12 +165,15 @@ class SnapshotGainsJob:
     """Exact per-node reach sizes over a chunk of live-edge snapshots.
 
     Used by the snapshot-greedy algorithms (MixGreedy / CELF) to fan the
-    NewGreedy step out across workers: each job evaluates its chunk of
-    masks with the SCC-condensation DP and returns one estimate **per
-    node** (samples = masks in the chunk).  Pooling the chunk estimates
-    with :meth:`SpreadEstimate.__add__` recovers the average reach over
-    the full snapshot sample; reach sizes are integers, so the pooled
-    means are exact regardless of how masks were chunked.
+    NewGreedy step out across workers: each job runs
+    :func:`~repro.cascade.reachability.all_reach_sizes` on its chunk of
+    masks into one ``(masks, nodes)`` array and returns one estimate
+    **per node** (samples = masks in the chunk), built from one
+    column-wise ``mean`` / ``std(ddof=1)`` (std 0.0 for a one-mask
+    chunk).  Pooling the chunk estimates with
+    :meth:`SpreadEstimate.__add__` recovers the average reach over the
+    full snapshot sample; reach sizes are integers, so the chunk means
+    and the pooled means are exact regardless of how masks were chunked.
 
     The job draws no randomness — masks are sampled by the caller's
     :class:`~repro.cascade.pools.SnapshotPool`, which also memoizes the
@@ -186,11 +190,16 @@ class SnapshotGainsJob:
         return self.graph.num_nodes
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
+        samples = len(self.masks)
+        if samples == 0:
+            raise CascadeError("cannot build an estimate from zero samples")
         graph = resolve_graph(self.graph)
-        values = np.empty((len(self.masks), graph.num_nodes), dtype=float)
+        values = np.empty((samples, graph.num_nodes), dtype=float)
         for i, mask in enumerate(self.masks):
             values[i] = all_reach_sizes(graph, mask)
+        means = values.mean(axis=0).tolist()
+        stds = values.std(axis=0, ddof=1).tolist() if samples > 1 else [0.0] * len(means)
         return tuple(
-            SpreadEstimate.from_values(values[:, v])
-            for v in range(graph.num_nodes)
+            SpreadEstimate(mean=mean, std=std, samples=samples)
+            for mean, std in zip(means, stds)
         )

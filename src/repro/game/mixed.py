@@ -21,6 +21,7 @@ from scipy import optimize
 
 from repro.errors import EquilibriumError, GameError
 from repro.game.normal_form import NormalFormGame
+from repro.obs.journal import current_journal
 from repro.utils.validation import nearly_zero
 
 
@@ -115,12 +116,31 @@ def _two_action_symmetric(game: NormalFormGame, atol: float) -> np.ndarray | Non
     return np.array([root, 1.0 - root])
 
 
+def _reject_support(support: tuple[int, ...], reason: str, detail: str) -> None:
+    """Journal why *support* yields no equilibrium (a ``note`` event)."""
+    sink = current_journal()
+    if sink is not None:
+        sink.emit(
+            "note",
+            message="mixed-NE support rejected",
+            support=list(support),
+            reason=reason,
+            detail=detail,
+        )
+
+
 def _support_solve(
     game: NormalFormGame,
     support: tuple[int, ...],
     atol: float,
 ) -> np.ndarray | None:
-    """Solve the indifference conditions restricted to *support*; verify NE."""
+    """Solve the indifference conditions restricted to *support*; verify NE.
+
+    Returns ``None`` when the support holds no equilibrium and journals the
+    reason: ``exception`` (fsolve raised a numerical error), ``ier`` (fsolve
+    gave up), ``negative_weight`` (the indifference point lies outside the
+    simplex) or ``regret`` (some action outside the support pays more).
+    """
     z = game.num_actions(0)
     s = len(support)
 
@@ -134,33 +154,32 @@ def _support_solve(
         ]
         return np.array([payoffs[i] - payoffs[-1] for i in range(s - 1)])
 
-    if s == 1:
-        mixture = np.zeros(z)
-        mixture[support[0]] = 1.0
-        return mixture if regret_of_symmetric_mixture(game, mixture) <= atol else None
-
-    start = np.full(s - 1, 1.0 / s)
-    try:
-        solution, info, ier, _ = optimize.fsolve(
-            residual, start, full_output=True, xtol=1e-12
-        )
-    except Exception:  # numerical failure inside fsolve
-        return None
-    if ier != 1:
-        return None
-    weights = np.concatenate([solution, [1.0 - solution.sum()]])
-    if np.any(weights < -1e-9):
-        return None
-    weights = np.clip(weights, 0.0, None)
-    if weights.sum() <= 0:
-        return None
-    weights /= weights.sum()
     mixture = np.zeros(z)
-    for idx, a in enumerate(support):
-        mixture[a] = weights[idx]
-    if regret_of_symmetric_mixture(game, mixture) <= max(atol, 1e-6):
-        return mixture
-    return None
+    if s == 1:
+        mixture[support[0]] = 1.0
+    else:
+        start = np.full(s - 1, 1.0 / s)
+        try:
+            solution, _info, ier, message = optimize.fsolve(
+                residual, start, full_output=True, xtol=1e-12
+            )
+        except (ValueError, ArithmeticError) as exc:  # incl. LinAlgError
+            _reject_support(support, "exception", f"{type(exc).__name__}: {exc}")
+            return None
+        if ier != 1:
+            _reject_support(support, "ier", f"ier={ier}: {' '.join(message.split())}")
+            return None
+        weights = np.concatenate([solution, [1.0 - solution.sum()]])
+        if np.any(weights < -1e-9):
+            _reject_support(support, "negative_weight", f"min weight {weights.min():.3g}")
+            return None
+        weights = np.clip(weights, 0.0, None)
+        mixture[list(support)] = weights / weights.sum()
+    regret = regret_of_symmetric_mixture(game, mixture)
+    if regret > (atol if s == 1 else max(atol, 1e-6)):
+        _reject_support(support, "regret", f"regret {regret:.3g}")
+        return None
+    return mixture
 
 
 def symmetric_mixed_equilibrium(

@@ -2,8 +2,8 @@
 
 The cascade layer keeps many large boolean arrays alive at once — live-edge
 snapshot masks (one bit per edge, dozens of snapshots per pool) and the
-reachable-set bitsets of the NewGreedy SCC DP (one bit per node, one set per
-live DAG component).  Stored as numpy ``bool`` arrays these cost a byte per
+reachable-set rows of the NewGreedy reach DP (one bit per node of a weak
+component, one row per non-sink condensation component).  Stored as numpy ``bool`` arrays these cost a byte per
 bit; packing them into ``uint64`` words cuts that memory by 8x, which is
 what lets million-node graphs keep whole snapshot pools resident.
 

@@ -10,7 +10,7 @@ from repro.cascade.wc import WeightedCascade
 from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import erdos_renyi
-from repro.utils.bitset import is_packed, num_words, popcount
+from repro.utils.bitset import is_packed, num_words, pack_bits, popcount
 from repro.utils.rng import as_rng
 
 
@@ -137,3 +137,77 @@ class TestAllReachSizes:
         )
         sizes = all_reach_sizes(g)
         assert sizes.tolist() == [6, 6, 6, 3, 3, 3]
+
+
+def _bfs_sizes(graph, mask=None):
+    return [int(graph.reachable_from([v], mask).sum()) for v in range(graph.num_nodes)]
+
+
+def _nested_scc_chain(links):
+    """*links* SCCs in a chain; each SCC is a 3-cycle holding a 2-cycle.
+
+    Every SCC also has a shortcut to the SCC two steps down, so reach sets
+    overlap (a plain sum of child sizes would overcount) and the
+    condensation DAG is a path of height ``links - 1``.
+    """
+    edges = []
+    for i in range(links):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges += [(a, b), (b, a), (b, c), (c, a)]
+        if i + 1 < links:
+            edges.append((c, a + 3))
+        if i + 2 < links:
+            edges.append((a, a + 6))
+    return DiGraph(3 * links, edges)
+
+
+class TestAllReachSizesBeyondOneWord:
+    """Graphs wider than one 64-bit word, checked against per-node BFS."""
+
+    def test_chain_crosses_word_boundaries(self):
+        n = 200
+        g = DiGraph(n, [(i, i + 1) for i in range(n - 1)])
+        assert all_reach_sizes(g).tolist() == [n - i for i in range(n)]
+        mask = np.ones(g.num_edges, dtype=bool)
+        for cut in (62, 63, 64, 127, 128):
+            mask[g.out_edge_ids(cut)[0]] = False
+        expected = _bfs_sizes(g, mask)
+        assert all_reach_sizes(g, mask).tolist() == expected
+        assert all_reach_sizes(g, pack_bits(mask)).tolist() == expected
+
+    def test_many_weak_components(self):
+        # 60 disjoint pieces (paths, 3-cycles, out-stars) plus 40 isolated nodes.
+        edges = []
+        for piece in range(60):
+            base = 4 * piece
+            kind = piece % 3
+            if kind == 0:
+                edges += [(base, base + 1), (base + 1, base + 2), (base + 2, base + 3)]
+            elif kind == 1:
+                edges += [(base, base + 1), (base + 1, base + 2), (base + 2, base)]
+            else:
+                edges += [(base, base + 1), (base, base + 2), (base, base + 3)]
+        g = DiGraph(280, edges)
+        mask = as_rng(5).random(g.num_edges) < 0.7
+        assert all_reach_sizes(g).tolist() == _bfs_sizes(g)
+        assert all_reach_sizes(g, mask).tolist() == _bfs_sizes(g, mask)
+        assert all_reach_sizes(g, pack_bits(mask)).tolist() == _bfs_sizes(g, mask)
+
+    def test_nested_sccs_on_a_long_condensation_path(self):
+        g = _nested_scc_chain(40)
+        assert all_reach_sizes(g).tolist() == [120 - 3 * (v // 3) for v in range(120)]
+        mask = as_rng(9).random(g.num_edges) < 0.8
+        expected = _bfs_sizes(g, mask)
+        assert all_reach_sizes(g, mask).tolist() == expected
+        assert all_reach_sizes(g, pack_bits(mask)).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_batches_match_one_batch(self, seed, monkeypatch):
+        from repro.cascade import reachability
+
+        graph = erdos_renyi(300, 600, rng=seed)
+        mask = as_rng(seed).random(graph.num_edges) < 0.6
+        whole = all_reach_sizes(graph, mask)
+        monkeypatch.setattr(reachability, "_BATCH_WORDS", 1)
+        assert all_reach_sizes(graph, mask).tolist() == whole.tolist()
+        assert whole.tolist() == _bfs_sizes(graph, mask)

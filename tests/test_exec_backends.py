@@ -7,7 +7,7 @@ import pytest
 
 from repro.cascade.estimate import SpreadEstimate
 from repro.cascade.ic import IndependentCascade
-from repro.errors import ExecutionError
+from repro.errors import CascadeError, ExecutionError
 from repro.exec import (
     BACKENDS,
     CompetitiveJob,
@@ -116,6 +116,29 @@ class TestJobs:
             [all_reach_sizes(random_graph, m) for m in masks], axis=0
         )
         assert [e.mean for e in ests] == pytest.approx(expected.tolist())
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_snapshot_gains_job_matches_per_node_estimates(
+        self, random_graph, model, count
+    ):
+        from repro.cascade.reachability import all_reach_sizes
+        from repro.cascade.snapshots import sample_snapshots
+
+        masks = sample_snapshots(random_graph, model, count, seed=5)
+        ests = SnapshotGainsJob(graph=random_graph, masks=tuple(masks)).run(as_rng(0))
+        values = np.array([all_reach_sizes(random_graph, m) for m in masks], dtype=float)
+        reference = [SpreadEstimate.from_values(values[:, v]) for v in range(values.shape[1])]
+        # Integer reach sizes: the means are exact; the std may differ from
+        # the per-node loop only in its summation order.
+        assert [e.mean for e in ests] == [r.mean for r in reference]
+        assert all(e.samples == count for e in ests)
+        assert [e.std for e in ests] == pytest.approx([r.std for r in reference], rel=1e-12)
+        if count == 1:
+            assert all(e.std == 0.0 for e in ests)
+
+    def test_snapshot_gains_job_needs_masks(self, random_graph):
+        with pytest.raises(CascadeError, match="zero samples"):
+            SnapshotGainsJob(graph=random_graph, masks=()).run(as_rng(0))
 
 
 class TestBackends:

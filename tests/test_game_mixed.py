@@ -11,6 +11,7 @@ from repro.game.mixed import (
     symmetric_mixed_equilibrium,
 )
 from repro.game.normal_form import NormalFormGame
+from repro.obs.journal import RunJournal, attached, read_journal
 
 
 def hawk_dove() -> NormalFormGame:
@@ -178,3 +179,70 @@ class TestRegret:
 
     def test_off_equilibrium_regret_positive(self):
         assert regret_of_symmetric_mixture(hawk_dove(), np.array([1.0, 0.0])) > 0
+
+
+def opponent_blind(values) -> NormalFormGame:
+    """3-action symmetric game whose payoffs ignore the opponent.
+
+    No mixed support can be indifferent, so fsolve makes no progress on
+    every support of two or more actions and gives up.
+    """
+    a = np.repeat(np.asarray(values, dtype=float)[:, None], 3, axis=1)
+    return NormalFormGame.from_bimatrix(a)
+
+
+def rejections(tmp_path, game, **kwargs):
+    path = tmp_path / "journal.jsonl"
+    with RunJournal(path) as journal, attached(journal):
+        mixture = symmetric_mixed_equilibrium(game, **kwargs)
+    notes = [e for e in read_journal(path) if e["event"] == "note"]
+    return mixture, [(tuple(e["support"]), e["reason"], e["detail"]) for e in notes]
+
+
+class TestSupportRejectionsJournaled:
+    def test_fsolve_giving_up_is_journaled(self, tmp_path):
+        mixture, notes = rejections(tmp_path, opponent_blind([3.0, 1.0, 0.0]))
+        assert mixture.tolist() == [1.0, 0.0, 0.0]
+        assert [(support, reason) for support, reason, _ in notes] == [
+            ((0, 1, 2), "ier"),
+            ((0, 1), "ier"),
+            ((0, 2), "ier"),
+            ((1, 2), "ier"),
+        ]
+        assert all(detail.startswith("ier=") and "\n" not in detail for *_, detail in notes)
+
+    def test_regret_rejections_name_the_support(self, tmp_path):
+        mixture, notes = rejections(
+            tmp_path, opponent_blind([0.0, 1.0, 3.0]), prefer_interior=False
+        )
+        assert mixture.tolist() == [0.0, 0.0, 1.0]
+        assert [(s, r) for s, r, _ in notes[:2]] == [((0,), "regret"), ((1,), "regret")]
+
+    def test_numerical_exception_is_journaled(self, tmp_path, monkeypatch):
+        from repro.game import mixed
+
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow in residual")
+
+        monkeypatch.setattr(mixed.optimize, "fsolve", overflow)
+        mixture, notes = rejections(tmp_path, opponent_blind([3.0, 1.0, 0.0]))
+        assert mixture.tolist() == [1.0, 0.0, 0.0]
+        assert [reason for _, reason, _ in notes] == ["exception"] * 4
+        assert notes[0][2] == "FloatingPointError: overflow in residual"
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        from repro.game import mixed
+
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(mixed.optimize, "fsolve", broken)
+        with pytest.raises(TypeError, match="bad call"):
+            symmetric_mixed_equilibrium(rock_paper_scissors())
+
+    def test_no_journal_attached_is_silent(self):
+        assert symmetric_mixed_equilibrium(opponent_blind([3.0, 1.0, 0.0])).tolist() == [
+            1.0,
+            0.0,
+            0.0,
+        ]

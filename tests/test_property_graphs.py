@@ -91,6 +91,58 @@ class TestDiGraphProperties:
         assert set(zip(src.tolist(), dst.tolist())) == set(g.edges())
 
 
+@st.composite
+def layered_graphs(draw):
+    """Graphs wider than one 64-bit word, built from structured blocks.
+
+    The first block is a chain of at least 65 nodes, so reach sets cross a
+    word boundary.  The other blocks are more chains, chains of nested
+    SCCs (a 3-cycle holding a 2-cycle, linked with shortcuts, giving long
+    condensation paths with overlapping reach sets), random digraphs and
+    isolated nodes, which make many weak components.  A few bridges may
+    join blocks, and node labels are shuffled so weak components are not
+    contiguous id ranges.
+    """
+    edges: list[tuple[int, int]] = []
+    n = 0
+
+    def chain(length):
+        edges.extend((n + i, n + i + 1) for i in range(length - 1))
+        return length
+
+    def nested(links):
+        for i in range(links):
+            a = n + 3 * i
+            edges.extend([(a, a + 1), (a + 1, a), (a + 1, a + 2), (a + 2, a)])
+            if i + 1 < links:
+                edges.append((a + 2, a + 3))
+            if i + 2 < links:
+                edges.append((a, a + 6))
+        return 3 * links
+
+    def random_block(size):
+        node = st.integers(0, size - 1)
+        pairs = draw(st.lists(st.tuples(node, node), max_size=3 * size))
+        edges.extend((n + u, n + v) for u, v in pairs)
+        return size
+
+    n += chain(draw(st.integers(65, 140)))
+    kinds = st.sampled_from(["chain", "nested", "random", "isolated"])
+    for kind in draw(st.lists(kinds, max_size=5)):
+        if kind == "chain":
+            n += chain(draw(st.integers(2, 80)))
+        elif kind == "nested":
+            n += nested(draw(st.integers(2, 25)))
+        elif kind == "random":
+            n += random_block(draw(st.integers(2, 30)))
+        else:
+            n += draw(st.integers(1, 20))
+    node = st.integers(0, n - 1)
+    bridges = draw(st.lists(st.tuples(node, node), max_size=4))
+    perm = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).permutation(n)
+    return n, [(int(perm[u]), int(perm[v])) for u, v in edges + bridges]
+
+
 class TestReachSizesProperty:
     @given(edge_lists(max_nodes=15, max_edges=40))
     @settings(max_examples=40, deadline=None)
@@ -115,3 +167,19 @@ class TestReachSizesProperty:
         sizes = all_reach_sizes(g, mask)
         for v in range(n):
             assert sizes[v] == int(g.reachable_from([v], mask).sum())
+
+    @given(layered_graphs(), st.floats(0.3, 1.0), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_all_reach_sizes_match_bfs_beyond_one_word(self, data, live, seed):
+        from repro.cascade.reachability import all_reach_sizes
+        from repro.utils.bitset import pack_bits
+
+        n, edges = data
+        g = DiGraph(n, edges)
+        mask = np.random.default_rng(seed).random(g.num_edges) < live
+        expected = [int(g.reachable_from([v], mask).sum()) for v in range(n)]
+        assert all_reach_sizes(g, mask).tolist() == expected
+        assert all_reach_sizes(g, pack_bits(mask)).tolist() == expected
+        assert all_reach_sizes(g).tolist() == [
+            int(g.reachable_from([v]).sum()) for v in range(n)
+        ]
