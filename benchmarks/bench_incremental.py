@@ -43,7 +43,6 @@ K = 10
 SNAPSHOTS = 2
 DELTA_EDGES = 5
 MODEL = IndependentCascade(0.02)
-KERNEL = "numpy"
 #: The acceptance floor: warm delta-repair must beat cold reselection 5x.
 MIN_SPEEDUP = 5.0
 
@@ -76,7 +75,6 @@ def test_incremental_repair_speedup(report):
         graph,
         MODEL,
         num_snapshots=SNAPSHOTS,
-        kernel=KERNEL,
         rng=SEED,
     )
     cold_select_watch = Stopwatch()
@@ -98,7 +96,6 @@ def test_incremental_repair_speedup(report):
         session.graph,
         MODEL,
         num_snapshots=SNAPSHOTS,
-        kernel=KERNEL,
         pool_seed=session.pool_seed,
     )
     cold_reselect_watch = Stopwatch()
@@ -126,7 +123,6 @@ def test_incremental_repair_speedup(report):
         "k": K,
         "snapshots": SNAPSHOTS,
         "seed": SEED,
-        "kernel": KERNEL,
         "delta_edges": 2 * DELTA_EDGES,
         "generate_s": round(gen_watch.elapsed, 2),
         "cold_select_s": round(cold_select_watch.elapsed, 2),

@@ -1,28 +1,43 @@
 """Kernel speedup on the Figure-5 (hep) competitive-spread workload.
 
-Times ``estimate_competitive_spread`` — the two-group hep batch behind the
-Figure 5 curves — under the python reference kernel and the frontier-batched
-numpy kernel, for each diffusion model (IC, WC, LT).  Two properties are
+Times the two-group hep competitive diffusions behind the Figure 5 curves,
+run by the frontier-batched numpy kernel that every simulation uses
+(``run_competitive_cascade`` / ``run_competitive_threshold``) and by the
+private python reference walks of :mod:`repro.cascade.kernels`, called
+directly, for each diffusion model (IC, WC, LT).  Two properties are
 asserted:
 
 * **speedup** — the numpy kernel is at least 5x faster than the python
   reference on every model (the vectorization's reason to exist);
-* **equivalence** — the two kernels' spread means agree within a loose
+* **equivalence** — the two walks' spread means agree within a loose
   band (the exact 3-pooled-stderr contract is pinned by
   ``tests/test_kernel_equivalence.py``; the bench check only guards against
   gross semantic drift at bench scale).
 
 Seed selection runs once outside the timed section, so the timings compare
-pure simulation work.  The serial backend keeps the comparison single-core;
-kernel and backend speedups compose (see ``bench_exec_scaling.py``).
+pure simulation work on one core; kernel and backend speedups compose (see
+``bench_exec_scaling.py``).
 """
 
+import numpy as np
+
 from repro.algorithms import DegreeDiscount, SingleDiscount
+from repro.cascade.competitive import ClaimRule, TieBreakRule, assign_initiators
+from repro.cascade.kernels import (
+    _competitive_cascade_python,
+    _competitive_threshold_python,
+    run_competitive_cascade,
+    run_competitive_threshold,
+)
 from repro.cascade.lt import LinearThreshold
-from repro.cascade.simulate import estimate_competitive_spread
-from repro.exec import Executor
 from repro.utils.rng import as_rng
 from repro.utils.timing import Stopwatch
+
+#: (cascade walk, threshold walk) per implementation.
+WALKS = {
+    "python": (_competitive_cascade_python, _competitive_threshold_python),
+    "numpy": (run_competitive_cascade, run_competitive_threshold),
+}
 
 DATASET = "hep"
 MIN_SPEEDUP = 5.0
@@ -40,25 +55,36 @@ def _models(config):
     ]
 
 
-def _timed_estimate(config, graph, model, profile, kernel):
-    rounds = max(40, config.rounds)
-    watch = Stopwatch()
-    with Executor("serial") as executor:
-        # Warm code paths and the graph's CSR caches outside the clock.
-        estimate_competitive_spread(
-            graph, model, profile, rounds=2, rng=1, executor=executor, kernel=kernel
+def _mean_spreads(graph, model, profile, rounds, seed, kernel):
+    """Per-group mean spreads of *rounds* competitive diffusions."""
+    cascade_walk, threshold_walk = WALKS[kernel]
+    threshold = isinstance(model, LinearThreshold)
+    probs = None if threshold else model.edge_probabilities(graph)
+    rng = as_rng(seed)
+    spreads = np.zeros((rounds, len(profile)))
+    for i in range(rounds):
+        initiators = assign_initiators(
+            graph.num_nodes, profile, TieBreakRule.UNIFORM, rng
         )
-        with watch:
-            estimates = estimate_competitive_spread(
-                graph,
-                model,
-                profile,
-                rounds=rounds,
-                rng=config.seed,
-                executor=executor,
-                kernel=kernel,
+        if threshold:
+            owner, _, _ = threshold_walk(graph, initiators, ClaimRule.PROPORTIONAL, rng)
+        else:
+            owner, _, _ = cascade_walk(
+                graph, probs, initiators, ClaimRule.PROPORTIONAL, rng
             )
-    return watch.elapsed, [est.mean for est in estimates]
+        spreads[i] = np.bincount(owner[owner >= 0], minlength=len(profile))
+    return spreads.mean(axis=0).tolist()
+
+
+def _timed_estimate(config, graph, model, profile, kernel):
+    # Warm code paths and the graph's CSR caches outside the clock.
+    _mean_spreads(graph, model, profile, 2, 1, kernel)
+    watch = Stopwatch()
+    with watch:
+        means = _mean_spreads(
+            graph, model, profile, max(40, config.rounds), config.seed, kernel
+        )
+    return watch.elapsed, means
 
 
 def test_kernel_speedup_hep(config, report):
@@ -101,7 +127,7 @@ def test_kernel_speedup_hep(config, report):
     report(
         "Kernel speedup - hep competitive spread",
         rows,
-        note=f"Figure-5 workload, serial backend; >= {floor}x asserted",
+        note=f"Figure-5 workload, one core; >= {floor}x asserted",
     )
     for name, speedup in speedups.items():
         assert speedup >= floor, (

@@ -112,7 +112,6 @@ def test_large_graph_scale_out(report):
                 model=MODEL,
                 seed_sets=(strategies[a], strategies[b]),
                 rounds=ROUNDS,
-                kernel="numpy",
             )
             for a, b in cells
         ]

@@ -70,12 +70,7 @@ def _space(config, executor) -> StrategySpace:
     model = config.model("ic")
     return StrategySpace(
         [
-            MixGreedy(
-                model,
-                num_snapshots=config.snapshots,
-                executor=executor,
-                kernel=config.kernel,
-            ),
+            MixGreedy(model, num_snapshots=config.snapshots, executor=executor),
             DegreeDiscount(config.ic_probability),
             HighDegree(),
         ]
@@ -94,7 +89,6 @@ def _timed_table(graph, model, space, config, r, k, symmetry, executor):
             rounds=max(ROUNDS, config.rounds),
             rng=SEED,
             executor=executor,
-            kernel=config.kernel,
             symmetry=symmetry,
         )
     return watch.elapsed, table
@@ -129,7 +123,6 @@ def test_payoff_sharing_speedup(config, report):
         "nodes": graph.num_nodes,
         "rounds": max(ROUNDS, config.rounds),
         "k": k,
-        "kernel": config.kernel,
         "seed": SEED,
     }
     with Executor("serial") as executor:
@@ -141,7 +134,7 @@ def test_payoff_sharing_speedup(config, report):
             # in each and the timings compare pure simulation work.
             estimate_payoff_table(
                 graph, model, space, num_groups=r, k=k, rounds=1,
-                rng=SEED, executor=executor, kernel=config.kernel,
+                rng=SEED, executor=executor,
                 symmetry="full",
             )
             full_s, full = _timed_table(
@@ -177,7 +170,7 @@ def test_payoff_sharing_speedup(config, report):
         clear_caches()
         sweep_args = dict(
             k=k, rounds=max(20, config.rounds), rng=SEED,
-            executor=executor, kernel=config.kernel, symmetry="reduce",
+            executor=executor, symmetry="reduce",
         )
         cold_watch = Stopwatch()
         with cold_watch:

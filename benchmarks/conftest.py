@@ -99,7 +99,7 @@ def report():
             # Full telemetry at emit time (cumulative over the bench run):
             # worker metric harvesting makes these backend-invariant, so a
             # benchmark row can be audited for how much simulation work
-            # (jobs, kernel mix, cache traffic) actually produced it.
+            # (jobs, cache traffic) actually produced it.
             "metrics": metrics_snapshot(),
         }
         (_RESULTS_DIR / f"{safe}.json").write_text(

@@ -33,7 +33,6 @@ from repro.cache import (
     selection_memo,
     set_rng_state,
 )
-from repro.cascade.kernels import resolve_kernel
 from repro.errors import SeedSelectionError
 from repro.graphs.digraph import DiGraph
 from repro.obs.log import get_logger
@@ -99,7 +98,7 @@ class SeedSelector(ABC):
 
         When *rng* is provided (reproducible call) and the work-sharing
         cache is enabled, the result is memoized on (graph fingerprint,
-        selector params, ``k``, kernel, RNG state, pool token).  A hit
+        selector params, ``k``, RNG state, pool token).  A hit
         returns the cached seeds and restores the post-selection RNG state
         into the caller's generator, so warm runs are bit-identical to cold
         ones.
@@ -118,7 +117,6 @@ class SeedSelector(ABC):
                 graph.fingerprint,
                 params_token(self),
                 int(k),
-                resolve_kernel(getattr(self, "kernel", None)),
                 rng_token(generator),
                 pool_token,
             )

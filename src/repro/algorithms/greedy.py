@@ -221,12 +221,10 @@ class _SnapshotGreedyBase(SeedSelector):
         model: CascadeModel,
         num_snapshots: int = 100,
         executor: Executor | None = None,
-        kernel: str | None = None,
     ) -> None:
         self.model = model
         self.num_snapshots = check_positive_int(num_snapshots, "num_snapshots")
         self.executor = executor
-        self.kernel = kernel
 
     def _select(self, graph: DiGraph, k: int, rng: RandomSource = None) -> list[int]:
         # Without a shared pool each select call must stay independently
@@ -246,7 +244,7 @@ class _SnapshotGreedyBase(SeedSelector):
     ) -> list[int]:
         """Select against the group's shared masks and shared initial gains."""
         k = self._check_budget(graph, k)
-        oracle = pool.oracle(self.model, self.num_snapshots, kernel=self.kernel)
+        oracle = pool.oracle(self.model, self.num_snapshots)
         gains = pool.initial_gains(self.model, self.num_snapshots, self.executor)
         return self._run_celf(k, oracle, gains)
 
@@ -270,9 +268,8 @@ class MixGreedy(_SnapshotGreedyBase):
         model: CascadeModel,
         num_snapshots: int = 100,
         executor: Executor | None = None,
-        kernel: str | None = None,
     ) -> None:
-        super().__init__(model, num_snapshots, executor, kernel)
+        super().__init__(model, num_snapshots, executor)
         self.name = f"mg{model.name}"
 
 
@@ -290,7 +287,6 @@ class CELFGreedy(_SnapshotGreedyBase):
         model: CascadeModel,
         num_snapshots: int = 100,
         executor: Executor | None = None,
-        kernel: str | None = None,
     ) -> None:
-        super().__init__(model, num_snapshots, executor, kernel)
+        super().__init__(model, num_snapshots, executor)
         self.name = f"celf{model.name}"

@@ -55,28 +55,26 @@ class CascadeModel(ABC):
         graph: DiGraph,
         seeds: Sequence[int],
         rng: RandomSource = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """One diffusion from *seeds*; returns the active-node boolean array.
 
         Default implementation is the standard cascade process: each newly
         activated node gets a single chance to activate each inactive
-        out-neighbour with the model's edge probability.  *kernel* selects
-        the inner loop (see :mod:`repro.cascade.kernels`).
+        out-neighbour with the model's edge probability, run by the numpy
+        kernel (:func:`repro.cascade.kernels.simulate_cascade`).
         """
         generator = as_rng(rng)
         probs = self.edge_probabilities(graph)
-        return simulate_cascade(graph, probs, seeds, generator, kernel=kernel)
+        return simulate_cascade(graph, probs, seeds, generator)
 
     def spread_once(
         self,
         graph: DiGraph,
         seeds: Sequence[int],
         rng: RandomSource = None,
-        kernel: str | None = None,
     ) -> int:
         """Convenience: number of nodes activated in a single simulation."""
-        return int(self.simulate(graph, seeds, rng, kernel=kernel).sum())
+        return int(self.simulate(graph, seeds, rng).sum())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -25,9 +25,8 @@ variant) run through the cascade path; :class:`LinearThreshold` runs through
 a threshold path where a node is claimed in proportion to each group's share
 of the accumulated in-neighbour weight.
 
-The per-round inner loops live in :mod:`repro.cascade.kernels`, selected by
-the engine's ``kernel`` argument (``"python"`` reference walk or the
-frontier-batched ``"numpy"`` vectorization).
+The per-round inner loops are the frontier-batched numpy kernels of
+:mod:`repro.cascade.kernels`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import numpy as np
 from repro.cascade.base import CascadeModel
 from repro.cascade.kernels import (
     ClaimRule,
-    resolve_kernel,
     run_competitive_cascade,
     run_competitive_threshold,
 )
@@ -229,9 +227,6 @@ class CompetitiveDiffusion:
         Seed-collision rule (see :class:`TieBreakRule`).
     claim_rule:
         Node-attribution rule (see :class:`ClaimRule`).
-    kernel:
-        Diffusion kernel (``"python"`` or ``"numpy"``); ``None`` falls back
-        to ``REPRO_KERNEL`` — see :mod:`repro.cascade.kernels`.
     """
 
     def __init__(
@@ -240,13 +235,11 @@ class CompetitiveDiffusion:
         model: CascadeModel,
         tie_break: TieBreakRule = TieBreakRule.UNIFORM,
         claim_rule: ClaimRule = ClaimRule.PROPORTIONAL,
-        kernel: str | None = None,
     ) -> None:
         self.graph = graph
         self.model = model
         self.tie_break = tie_break
         self.claim_rule = claim_rule
-        self.kernel = resolve_kernel(kernel)
         self._edge_probs: np.ndarray | None = None
 
     def _probs(self) -> np.ndarray:
@@ -271,7 +264,7 @@ class CompetitiveDiffusion:
         )
         if isinstance(self.model, LinearThreshold):
             owner, rounds, when = run_competitive_threshold(
-                self.graph, initiators, self.claim_rule, generator, self.kernel
+                self.graph, initiators, self.claim_rule, generator
             )
         else:
             owner, rounds, when = run_competitive_cascade(
@@ -280,7 +273,6 @@ class CompetitiveDiffusion:
                 initiators,
                 self.claim_rule,
                 generator,
-                self.kernel,
             )
         outcome = CompetitiveOutcome(
             owner=owner,

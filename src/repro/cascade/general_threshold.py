@@ -106,12 +106,11 @@ class GeneralThreshold(CascadeModel):
         graph: DiGraph,
         seeds: Sequence[int],
         rng: RandomSource = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """One general-threshold diffusion.
 
-        Arbitrary activation functions have no vectorized kernel; the
-        reference walk below runs regardless of *kernel*.
+        Arbitrary activation functions have no vectorized kernel, so
+        this is a per-node walk.
         """
         generator = as_rng(rng)
         n = graph.num_nodes

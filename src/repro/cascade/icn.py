@@ -57,12 +57,11 @@ class NegativeAwareCascade(CascadeModel):
         graph: DiGraph,
         seeds: Sequence[int],
         rng: RandomSource = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """One IC-N diffusion; returns the **positive** adopter indicator.
 
-        IC-N's per-node quality sampling has no vectorized kernel; the
-        reference walk below runs regardless of *kernel*.
+        IC-N's per-node quality sampling has no vectorized kernel, so
+        this is a per-node walk.
         """
         generator = as_rng(rng)
         n = graph.num_nodes

@@ -1,34 +1,36 @@
-"""Diffusion kernels: the per-round inner loops behind every simulation.
+"""Cascade kernels: the inner loops behind every simulation and snapshot sweep.
 
-Two interchangeable implementations of the same diffusion semantics live
-here, selected by the ``kernel`` argument (or the ``REPRO_KERNEL``
-environment variable):
+Each layer has exactly one implementation, the one that measured fastest
+on the workloads that run it:
 
-``python``
-    The reference implementation: explicit frontier walks, one node and one
-    edge at a time.  Easy to audit against Section 3.2 of the paper and the
-    default everywhere.
+**Diffusion** (:func:`run_competitive_cascade`,
+:func:`run_competitive_threshold`, :func:`simulate_cascade`,
+:func:`simulate_threshold`) is a frontier-batched numpy vectorization.  Each
+round expands *all* frontier out-edges at once with ``np.repeat``/fancy
+indexing over the CSR arrays, reduces per-target attempt counts and the
+survival product ``Π(1 - p_e)`` with segmented reductions
+(``np.multiply.reduceat`` / ``np.bincount``), and resolves activation plus
+PROPORTIONAL / WINNER_TAKE_ALL claims for the whole round in one vectorized
+pass.
 
-``numpy``
-    A frontier-batched vectorization of the same process.  Each round
-    expands *all* frontier out-edges at once with ``np.repeat``/fancy
-    indexing over the CSR arrays, reduces per-target attempt counts and the
-    survival product ``Π(1 - p_e)`` with segmented reductions
-    (``np.multiply.reduceat`` / ``np.bincount``), and resolves activation
-    plus PROPORTIONAL / WINNER_TAKE_ALL claims for the whole round in one
-    vectorized pass.  The LT pressure path and the snapshot-oracle
-    reachability BFS get the same treatment (a mask-filtered CSR frontier
-    sweep).
+**Snapshot sweeps** (:func:`reachable_mask`, :func:`reachable_mask_batch`,
+:func:`count_new_reachable`, :func:`absorb_reachable`) are python frontier
+walks.  CELF's marginal-gain sweeps stop at already-reached nodes and touch
+only a few nodes each, which a per-call numpy setup cannot amortize.
 
-**Determinism contract.**  Both kernels draw every random variate from the
-caller's :class:`numpy.random.Generator`, so for a fixed master seed each
-kernel is bit-identical to itself across backends and worker counts (the
-SeedSequence discipline of :mod:`repro.exec`).  The kernels consume
-randomness in different orders, however, so they are *not* bit-identical to
-each other — they are statistically equivalent: per-node activation and
-claim probabilities match exactly, only the sample paths differ.  The
-equivalence suite (``tests/test_kernel_equivalence.py``) checks both halves
-of this contract.
+The four ``_…_python`` functions are the explicit one-node-one-edge
+reference walks of the diffusion layer, easy to audit against Section 3.2
+of the paper.  Only the equivalence tests and
+``benchmarks/bench_kernel_speedup.py`` call them.
+
+**Determinism contract.**  Every random variate is drawn from the caller's
+:class:`numpy.random.Generator`, so for a fixed master seed a simulation is
+bit-identical across backends and worker counts (the SeedSequence
+discipline of :mod:`repro.exec`).  The reference walks consume randomness
+in a different order, so they are statistically equivalent to the numpy
+kernel rather than bit-identical: per-node activation and claim
+probabilities match exactly, only the sample paths differ
+(``tests/test_kernel_equivalence.py``).  The sweeps draw no randomness.
 
 Per-node Python diffusion loops outside this module are flagged by
 reprolint rule RP007.
@@ -37,41 +39,17 @@ reprolint rule RP007.
 from __future__ import annotations
 
 import enum
-import os
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import CascadeError, GraphError
 from repro.graphs.digraph import DiGraph
-from repro.obs.metrics import histogram, counter
-from repro.utils.bitset import is_packed, lookup_bits, lookup_bits_rows, num_words
+from repro.obs.metrics import histogram
+from repro.utils.bitset import is_packed, lookup_bits, num_words
 
-#: Environment variable selecting the process-wide default kernel.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Known kernel names, in documentation order.
-KERNELS = ("python", "numpy")
-
-# Cached instrument handles (RP004): one counter pair per kernel so metrics
-# record which implementation actually ran, exec.*-style.
-_SIMULATIONS = {name: counter(f"kernel.{name}.simulations") for name in KERNELS}
-_SWEEPS = {name: counter(f"kernel.{name}.sweeps") for name in KERNELS}
+# Cached instrument handle (RP004).
 _FRONTIER_SIZE = histogram("cascade.frontier_size")
-
-
-def resolve_kernel(kernel: str | None = None) -> str:
-    """Resolve *kernel* to a concrete kernel name.
-
-    ``None`` falls back to ``REPRO_KERNEL`` (default ``python``); anything
-    outside :data:`KERNELS` raises :class:`CascadeError`.
-    """
-    resolved = kernel or os.environ.get(KERNEL_ENV_VAR, "").strip() or "python"
-    if resolved not in KERNELS:
-        raise CascadeError(
-            f"unknown cascade kernel {resolved!r}; known: {sorted(KERNELS)}"
-        )
-    return resolved
 
 
 class ClaimRule(enum.Enum):
@@ -167,28 +145,6 @@ def _initial_owner(
 # ---------------------------------------------------------------------- #
 
 
-def run_competitive_cascade(
-    graph: DiGraph,
-    probs: np.ndarray,
-    initiators: Sequence[Sequence[int]],
-    claim_rule: ClaimRule,
-    generator: np.random.Generator,
-    kernel: str | None = None,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """One competitive cascade; returns ``(owner, rounds, activation_round)``.
-
-    Nodes are activated with the combined probability ``1 - Π(1 - p_e)``
-    over all attempting edges and claimed per *claim_rule* (Section 3.2).
-    """
-    resolved = resolve_kernel(kernel)
-    _SIMULATIONS[resolved].inc()
-    if resolved == "numpy":
-        return _competitive_cascade_numpy(
-            graph, probs, initiators, claim_rule, generator
-        )
-    return _competitive_cascade_python(graph, probs, initiators, claim_rule, generator)
-
-
 def _competitive_cascade_python(
     graph: DiGraph,
     probs: np.ndarray,
@@ -196,6 +152,7 @@ def _competitive_cascade_python(
     claim_rule: ClaimRule,
     generator: np.random.Generator,
 ) -> tuple[np.ndarray, int, np.ndarray]:
+    """Reference walk of :func:`run_competitive_cascade`."""
     r = len(initiators)
     owner = np.full(graph.num_nodes, -1, dtype=np.int64)
     when = np.zeros(graph.num_nodes, dtype=np.int64)
@@ -240,13 +197,18 @@ def _competitive_cascade_python(
     return owner, rounds, when
 
 
-def _competitive_cascade_numpy(
+def run_competitive_cascade(
     graph: DiGraph,
     probs: np.ndarray,
     initiators: Sequence[Sequence[int]],
     claim_rule: ClaimRule,
     generator: np.random.Generator,
 ) -> tuple[np.ndarray, int, np.ndarray]:
+    """One competitive cascade; returns ``(owner, rounds, activation_round)``.
+
+    Nodes are activated with the combined probability ``1 - Π(1 - p_e)``
+    over all attempting edges and claimed per *claim_rule* (Section 3.2).
+    """
     r = len(initiators)
     owner, frontier = _initial_owner(graph.num_nodes, initiators)
     when = np.zeros(graph.num_nodes, dtype=np.int64)
@@ -291,33 +253,13 @@ def _competitive_cascade_numpy(
 # ---------------------------------------------------------------------- #
 
 
-def run_competitive_threshold(
-    graph: DiGraph,
-    initiators: Sequence[Sequence[int]],
-    claim_rule: ClaimRule,
-    generator: np.random.Generator,
-    kernel: str | None = None,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """One competitive LT diffusion; returns ``(owner, rounds, activation_round)``.
-
-    A node activates once the summed ``1/in_degree`` weight of its active
-    in-neighbours reaches its uniform threshold, and is claimed in
-    proportion to each group's share of that accumulated weight (the LT
-    analogue of ``t_j / Σt_j``).
-    """
-    resolved = resolve_kernel(kernel)
-    _SIMULATIONS[resolved].inc()
-    if resolved == "numpy":
-        return _competitive_threshold_numpy(graph, initiators, claim_rule, generator)
-    return _competitive_threshold_python(graph, initiators, claim_rule, generator)
-
-
 def _competitive_threshold_python(
     graph: DiGraph,
     initiators: Sequence[Sequence[int]],
     claim_rule: ClaimRule,
     generator: np.random.Generator,
 ) -> tuple[np.ndarray, int, np.ndarray]:
+    """Reference walk of :func:`run_competitive_threshold`."""
     n = graph.num_nodes
     r = len(initiators)
     thresholds = generator.random(n)
@@ -361,12 +303,19 @@ def _competitive_threshold_python(
     return owner, rounds, when
 
 
-def _competitive_threshold_numpy(
+def run_competitive_threshold(
     graph: DiGraph,
     initiators: Sequence[Sequence[int]],
     claim_rule: ClaimRule,
     generator: np.random.Generator,
 ) -> tuple[np.ndarray, int, np.ndarray]:
+    """One competitive LT diffusion; returns ``(owner, rounds, activation_round)``.
+
+    A node activates once the summed ``1/in_degree`` weight of its active
+    in-neighbours reaches its uniform threshold, and is claimed in
+    proportion to each group's share of that accumulated weight (the LT
+    analogue of ``t_j / Σt_j``).
+    """
     n = graph.num_nodes
     r = len(initiators)
     thresholds = generator.random(n)
@@ -403,21 +352,6 @@ def _competitive_threshold_numpy(
 # ---------------------------------------------------------------------- #
 
 
-def simulate_cascade(
-    graph: DiGraph,
-    probs: np.ndarray,
-    seeds: Sequence[int],
-    generator: np.random.Generator,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """One single-group cascade from *seeds*; returns the active-node mask."""
-    resolved = resolve_kernel(kernel)
-    _SIMULATIONS[resolved].inc()
-    if resolved == "numpy":
-        return _simulate_cascade_numpy(graph, probs, seeds, generator)
-    return _simulate_cascade_python(graph, probs, seeds, generator)
-
-
 def _checked_seed_array(num_nodes: int, seeds: Sequence[int]) -> np.ndarray:
     seed_arr = np.asarray([int(s) for s in seeds], dtype=np.int64)
     bad = (seed_arr < 0) | (seed_arr >= num_nodes)
@@ -433,6 +367,7 @@ def _simulate_cascade_python(
     seeds: Sequence[int],
     generator: np.random.Generator,
 ) -> np.ndarray:
+    """Reference walk of :func:`simulate_cascade`."""
     active = np.zeros(graph.num_nodes, dtype=bool)
     frontier: list[int] = []
     for s in seeds:
@@ -458,12 +393,13 @@ def _simulate_cascade_python(
     return active
 
 
-def _simulate_cascade_numpy(
+def simulate_cascade(
     graph: DiGraph,
     probs: np.ndarray,
     seeds: Sequence[int],
     generator: np.random.Generator,
 ) -> np.ndarray:
+    """One single-group cascade from *seeds*; returns the active-node mask."""
     active = np.zeros(graph.num_nodes, dtype=bool)
     frontier = np.unique(_checked_seed_array(graph.num_nodes, seeds))
     active[frontier] = True
@@ -485,25 +421,12 @@ def _simulate_cascade_numpy(
     return active
 
 
-def simulate_threshold(
-    graph: DiGraph,
-    seeds: Sequence[int],
-    generator: np.random.Generator,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """One single-group LT diffusion from *seeds*; returns the active-node mask."""
-    resolved = resolve_kernel(kernel)
-    _SIMULATIONS[resolved].inc()
-    if resolved == "numpy":
-        return _simulate_threshold_numpy(graph, seeds, generator)
-    return _simulate_threshold_python(graph, seeds, generator)
-
-
 def _simulate_threshold_python(
     graph: DiGraph,
     seeds: Sequence[int],
     generator: np.random.Generator,
 ) -> np.ndarray:
+    """Reference walk of :func:`simulate_threshold`."""
     n = graph.num_nodes
     thresholds = generator.random(n)
     in_deg = graph.in_degrees().astype(float)
@@ -533,11 +456,12 @@ def _simulate_threshold_python(
     return active
 
 
-def _simulate_threshold_numpy(
+def simulate_threshold(
     graph: DiGraph,
     seeds: Sequence[int],
     generator: np.random.Generator,
 ) -> np.ndarray:
+    """One single-group LT diffusion from *seeds*; returns the active-node mask."""
     n = graph.num_nodes
     thresholds = generator.random(n)
     weight_in = 1.0 / np.maximum(graph.in_degrees().astype(float), 1.0)
@@ -563,74 +487,33 @@ def _simulate_threshold_numpy(
 # ---------------------------------------------------------------------- #
 
 
-def _sweep_numpy(
-    graph: DiGraph,
-    edge_mask: np.ndarray | None,
-    frontier: np.ndarray,
-    visited: np.ndarray,
-) -> None:
-    """Mask-filtered CSR frontier sweep; marks everything reachable in *visited*.
-
-    *edge_mask* may be a boolean-style array of length *m* or its packed
-    bitset equivalent (:mod:`repro.utils.bitset`); both filter identically.
-    """
-    while frontier.size:
-        targets, eids, _ = _frontier_edges(graph, frontier)
-        if edge_mask is not None and targets.size:
-            keep = lookup_bits(edge_mask, eids)
-            targets = targets[keep]
-        if targets.size:
-            targets = targets[~visited[targets]]
-        if targets.size == 0:
-            return
-        frontier = np.unique(targets)
-        visited[frontier] = True
-
-
 def reachable_mask(
     graph: DiGraph,
     sources: Sequence[int],
     edge_mask: np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
-    """Boolean array marking nodes reachable from *sources* (mask-filtered)."""
-    resolved = resolve_kernel(kernel)
-    _SWEEPS[resolved].inc()
-    if resolved == "python":
-        return graph.reachable_from(sources, edge_mask)
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    frontier: list[int] = []
-    for s in sources:
-        node = int(s)
-        if not 0 <= node < graph.num_nodes:
-            raise GraphError(f"node {node} out of range [0, {graph.num_nodes})")
-        if not visited[node]:
-            visited[node] = True
-            frontier.append(node)
-    _sweep_numpy(graph, edge_mask, np.asarray(frontier, dtype=np.int64), visited)
-    return visited
+    """Boolean array marking nodes reachable from *sources* (mask-filtered).
+
+    *edge_mask* may be a boolean-style array of length *m* or its packed
+    bitset equivalent (:mod:`repro.utils.bitset`); both filter identically.
+    """
+    return graph.reachable_from(sources, edge_mask)
 
 
 def reachable_mask_batch(
     graph: DiGraph,
     sources: Sequence[int],
     mask_matrix: np.ndarray,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Per-snapshot reachability over a stacked ``(snapshots, edges)`` mask.
 
     Row *s* of the returned ``(snapshots, nodes)`` boolean matrix equals
-    ``reachable_mask(graph, sources, mask_matrix[s])`` bit for bit.  The
-    python kernel is that per-mask loop verbatim; the numpy kernel runs one
-    frontier sweep over flat ``(snapshot, node)`` pairs, so a snapshot whose
-    cascade dies early drops out of the frontier while live snapshots keep
-    expanding — the batched analogue of the per-mask early exit.
-
-    *mask_matrix* is either boolean-style ``(snapshots, edges)`` or packed
+    ``reachable_mask(graph, sources, mask_matrix[s])``.  *mask_matrix* is
+    either boolean-style ``(snapshots, edges)`` or packed
     ``(snapshots, words)`` ``uint64`` rows (:mod:`repro.utils.bitset`);
-    results are bit-identical between the two representations.
+    results are bit-identical between the two representations.  Sources
+    are range-checked even when there are no snapshots.
     """
-    resolved = resolve_kernel(kernel)
     expected_width = (
         num_words(graph.num_edges) if is_packed(mask_matrix) else graph.num_edges
     )
@@ -639,42 +522,13 @@ def reachable_mask_batch(
             f"mask matrix shape {mask_matrix.shape} does not match "
             f"(snapshots, {expected_width})"
         )
-    num_snaps = mask_matrix.shape[0]
-    _SWEEPS[resolved].inc(num_snaps)
-    if resolved == "python":
-        rows = [graph.reachable_from(sources, mask_matrix[s]) for s in range(num_snaps)]
-        if not rows:
-            return np.zeros((0, graph.num_nodes), dtype=bool)
-        return np.stack(rows)
-    visited = np.zeros((num_snaps, graph.num_nodes), dtype=bool)
-    starts: list[int] = []
     for s in sources:
         node = int(s)
         if not 0 <= node < graph.num_nodes:
             raise GraphError(f"node {node} out of range [0, {graph.num_nodes})")
-        starts.append(node)
-    if not starts or num_snaps == 0:
-        return visited
-    uniq = np.unique(np.asarray(starts, dtype=np.int64))
-    visited[:, uniq] = True
-    n = graph.num_nodes
-    snap_f = np.repeat(np.arange(num_snaps, dtype=np.int64), uniq.size)
-    node_f = np.tile(uniq, num_snaps)
-    while node_f.size:
-        targets, eids, degs = _frontier_edges(graph, node_f)
-        if targets.size == 0:
-            break
-        snaps = np.repeat(snap_f, degs)
-        live = lookup_bits_rows(mask_matrix, snaps, eids)
-        targets, snaps = targets[live], snaps[live]
-        if targets.size:
-            fresh = ~visited[snaps, targets]
-            targets, snaps = targets[fresh], snaps[fresh]
-        if targets.size == 0:
-            break
-        keys = np.unique(snaps * n + targets)
-        snap_f, node_f = keys // n, keys % n
-        visited[snap_f, node_f] = True
+    visited = np.zeros((mask_matrix.shape[0], graph.num_nodes), dtype=bool)
+    for row, mask in zip(visited, mask_matrix):
+        row[:] = graph.reachable_from(sources, mask)
     return visited
 
 
@@ -683,22 +537,14 @@ def count_new_reachable(
     mask: np.ndarray,
     start: int,
     reached: np.ndarray,
-    kernel: str | None = None,
 ) -> int:
     """Nodes reachable from *start* that are not in *reached* (no mutation).
 
     The sweep stops at already-reached nodes: in a live-edge world,
     everything reachable from a reached node is itself already reached.
     """
-    resolved = resolve_kernel(kernel)
-    _SWEEPS[resolved].inc()
     if reached[start]:
         return 0
-    if resolved == "numpy":
-        visited = reached.copy()
-        visited[start] = True
-        _sweep_numpy(graph, mask, np.asarray([start], dtype=np.int64), visited)
-        return int(visited.sum() - reached.sum())
     visited = {int(start)}
     stack = [int(start)]
     count = 0
@@ -721,17 +567,11 @@ def absorb_reachable(
     mask: np.ndarray,
     start: int,
     reached: np.ndarray,
-    kernel: str | None = None,
 ) -> None:
     """Mark everything reachable from *start* in *reached* (mutates)."""
-    resolved = resolve_kernel(kernel)
-    _SWEEPS[resolved].inc()
     if reached[start]:
         return
     reached[start] = True
-    if resolved == "numpy":
-        _sweep_numpy(graph, mask, np.asarray([start], dtype=np.int64), reached)
-        return
     stack = [int(start)]
     while stack:
         u = stack.pop()

@@ -64,13 +64,12 @@ class LinearThreshold(CascadeModel):
         graph: DiGraph,
         seeds: Sequence[int],
         rng: RandomSource = None,
-        kernel: str | None = None,
     ) -> np.ndarray:
         """One LT diffusion; thresholds are drawn up front, then the
-        pressure sweep runs in the selected kernel
+        pressure sweep runs in the numpy kernel
         (:func:`repro.cascade.kernels.simulate_threshold`)."""
         generator = as_rng(rng)
-        return simulate_threshold(graph, seeds, generator, kernel=kernel)
+        return simulate_threshold(graph, seeds, generator)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinearThreshold)

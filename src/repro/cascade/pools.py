@@ -8,8 +8,8 @@ model.  A :class:`SnapshotPool` is handed to all ``z`` strategies of a
 group and memoizes, per ``(model, count)``:
 
 * the sampled masks (:meth:`masks`),
-* the :class:`~repro.cascade.snapshots.SnapshotOracle` built on them, per
-  kernel (:meth:`oracle`),
+* the :class:`~repro.cascade.snapshots.SnapshotOracle` built on them
+  (:meth:`oracle`),
 * the batched initial gains (:meth:`initial_gains`, shared between
   MixGreedy and CELFGreedy): per-node mean reach sizes from
   :func:`snapshot_initial_gains`.
@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.cache import cache_enabled, params_token, shard_memo
 from repro.cascade.base import CascadeModel
-from repro.cascade.kernels import resolve_kernel
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError
 from repro.exec.executor import Executor, resolve_executor
@@ -121,7 +120,7 @@ class SnapshotPool:
             )
         self._seed: int | None = None if seed is None else int(seed)
         self._masks: dict[tuple[object, int], list[np.ndarray]] = {}
-        self._oracles: dict[tuple[object, int, str], SnapshotOracle] = {}
+        self._oracles: dict[tuple[object, int], SnapshotOracle] = {}
         self._gains: dict[tuple[object, int], list[float]] = {}
 
     def token(self, rng: RandomSource = None) -> int:
@@ -173,15 +172,12 @@ class SnapshotPool:
             _POOL_SHARED.inc()
         return masks
 
-    def oracle(
-        self, model: CascadeModel, count: int, kernel: str | None = None
-    ) -> SnapshotOracle:
-        """A spread oracle over the shared masks; one instance per kernel."""
-        resolved = resolve_kernel(kernel)
-        key = (*self._request_key(model, count), resolved)
+    def oracle(self, model: CascadeModel, count: int) -> SnapshotOracle:
+        """A spread oracle over the shared masks."""
+        key = self._request_key(model, count)
         oracle = self._oracles.get(key)
         if oracle is None:
-            oracle = SnapshotOracle(self.graph, self.masks(model, count), kernel=resolved)
+            oracle = SnapshotOracle(self.graph, self.masks(model, count))
             self._oracles[key] = oracle
         return oracle
 

@@ -22,7 +22,6 @@ from repro.cascade.kernels import (
     absorb_reachable,
     count_new_reachable,
     reachable_mask_batch,
-    resolve_kernel,
 )
 from repro.errors import CascadeError
 from repro.graphs.digraph import DiGraph
@@ -174,10 +173,6 @@ class SnapshotOracle:
     stopping its BFS at already-reached nodes (in a live-edge world,
     everything reachable from a reached node is itself already reached).
 
-    *kernel* selects the sweep implementation — the python BFS or the
-    mask-filtered CSR frontier sweep (see :mod:`repro.cascade.kernels`);
-    both visit the same nodes, so oracle results are kernel-independent.
-
     Masks may be boolean-style (length *m*) or packed bitsets
     (:mod:`repro.utils.bitset`); a homogeneous packed sample is kept packed
     end to end — the stacked matrix stores one bit per edge — and every
@@ -188,7 +183,6 @@ class SnapshotOracle:
         self,
         graph: DiGraph,
         masks: Sequence[np.ndarray],
-        kernel: str | None = None,
     ) -> None:
         if not masks:
             raise CascadeError("at least one snapshot mask is required")
@@ -220,7 +214,6 @@ class SnapshotOracle:
                     for mask in self.masks
                 ]
             )
-        self.kernel = resolve_kernel(kernel)
 
     @property
     def num_snapshots(self) -> int:
@@ -228,28 +221,22 @@ class SnapshotOracle:
 
     def spread(self, seeds: Sequence[int]) -> float:
         """Average number of nodes reachable from *seeds* over all snapshots."""
-        visited = reachable_mask_batch(
-            self.graph, seeds, self.mask_matrix, kernel=self.kernel
-        )
+        visited = reachable_mask_batch(self.graph, seeds, self.mask_matrix)
         return int(visited.sum()) / len(self.masks)
 
     def reach(self, seeds: Sequence[int]) -> list[np.ndarray]:
         """Per-snapshot boolean reached arrays for *seeds*."""
-        visited = reachable_mask_batch(
-            self.graph, seeds, self.mask_matrix, kernel=self.kernel
-        )
+        visited = reachable_mask_batch(self.graph, seeds, self.mask_matrix)
         return [visited[s] for s in range(visited.shape[0])]
 
     def extend_reach(self, reached: list[np.ndarray], new_seed: int) -> None:
         """Mutate *reached* in place to include everything reachable from *new_seed*."""
         for mask, already in zip(self.masks, reached):
-            absorb_reachable(self.graph, mask, new_seed, already, kernel=self.kernel)
+            absorb_reachable(self.graph, mask, new_seed, already)
 
     def marginal_gain(self, candidate: int, reached: list[np.ndarray]) -> float:
         """Average count of nodes newly reached by adding *candidate*."""
         total = 0
         for mask, already in zip(self.masks, reached):
-            total += count_new_reachable(
-                self.graph, mask, candidate, already, kernel=self.kernel
-            )
+            total += count_new_reachable(self.graph, mask, candidate, already)
         return total / len(self.masks)

@@ -24,9 +24,8 @@ Every graph-taking command accepts the observability flags
 ``--log-level``/``--log-json`` (structured logging on stderr) and
 ``--journal PATH`` (append typed JSONL events to *PATH*), plus the
 execution flags ``--backend {serial,thread,process}`` / ``--workers N``
-selecting the simulation backend and ``--kernel {python,numpy}`` selecting
-the diffusion kernel (defaults come from ``REPRO_BACKEND`` /
-``REPRO_WORKERS`` / ``REPRO_KERNEL``; results are bit-identical across backends for a fixed
+selecting the simulation backend (defaults come from ``REPRO_BACKEND`` /
+``REPRO_WORKERS``; results are bit-identical across backends for a fixed
 seed).  ``getreal`` additionally accepts
 ``--profile-symmetry {full,reduce}`` (default ``REPRO_SYMMETRY`` or
 ``full``) selecting full-profile vs symmetric-reduced payoff estimation.
@@ -67,7 +66,6 @@ from repro.core.getreal import get_real
 from repro.core.metrics import jaccard
 from repro.core.strategy import StrategySpace
 from repro.errors import JournalError, ReproError
-from repro.cascade.kernels import KERNELS
 from repro.core.payoff import SYMMETRY_MODES
 from repro.exec.backends import BACKENDS
 from repro.exec.executor import Executor, build_executor
@@ -173,12 +171,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker count for pooled backends (default: $REPRO_WORKERS)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=sorted(KERNELS),
-        default=None,
-        help="diffusion kernel (default: $REPRO_KERNEL or python)",
     )
 
 
@@ -426,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _incremental_override(requested: bool) -> Iterator[None]:
     """Export ``--incremental`` as ``REPRO_INCREMENTAL=1`` for the command.
 
-    Mirrors :func:`_kernel_override`: code built inside the command (the
-    session, drivers consulting :func:`repro.incremental.incremental_requested`)
-    resolves the switch through the environment.  Restored on exit.  An
+    Code built inside the command (the session, drivers consulting
+    :func:`repro.incremental.incremental_requested`) resolves the switch
+    through the environment.  Restored on exit.  An
     explicit ``REPRO_INCREMENTAL=off`` kill-switch wins over the flag —
     the flag still selects the session code path, but warm shortcuts stay
     disabled and every answer recomputes cold.
@@ -450,29 +442,6 @@ def _incremental_override(requested: bool) -> Iterator[None]:
             os.environ.pop(INCREMENTAL_ENV_VAR, None)
         else:
             os.environ[INCREMENTAL_ENV_VAR] = previous
-
-
-@contextlib.contextmanager
-def _kernel_override(kernel: str | None) -> Iterator[None]:
-    """Export ``--kernel`` as ``REPRO_KERNEL`` for the command's duration.
-
-    The flag is passed explicitly to the estimators, but strategies built
-    inside the command (e.g. MixGreedy's snapshot oracle) resolve the
-    kernel through the environment — exporting keeps the whole command on
-    one kernel.  Restored on exit so in-process callers see no side effect.
-    """
-    if kernel is None:
-        yield
-        return
-    previous = os.environ.get("REPRO_KERNEL")
-    os.environ["REPRO_KERNEL"] = kernel
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = previous
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -519,7 +488,7 @@ def _main(args: argparse.Namespace, argv: list[str] | None) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     incremental = bool(getattr(args, "incremental", False))
-    with _kernel_override(args.kernel), _incremental_override(incremental):
+    with _incremental_override(incremental):
         journal = RunJournal(args.journal) if args.journal else None
         if journal is None:
             return _run_command(args)
@@ -529,16 +498,14 @@ def _main(args: argparse.Namespace, argv: list[str] | None) -> int:
         attach_journal(journal)
         started = time.perf_counter()
         if wrap_run:
-            # Incremental runs bundle the resolved kernel and shard layout
-            # into run_start so `repro obs trace` can attribute warm vs
-            # cold paths without re-deriving run configuration.
+            # Incremental runs bundle the shard layout into run_start so
+            # `repro obs trace` can attribute warm vs cold paths without
+            # re-deriving run configuration.
             extra: dict[str, object] = {}
             if incremental:
-                from repro.cascade.kernels import resolve_kernel
                 from repro.utils.shards import DEFAULT_NUM_SHARDS
 
                 extra = {
-                    "kernel": resolve_kernel(args.kernel),
                     "shards": getattr(args, "shards", None)
                     or DEFAULT_NUM_SHARDS,
                     "incremental": True,
@@ -697,7 +664,6 @@ def _seeds_incremental(args: argparse.Namespace, graph: DiGraph) -> int:
         graph,
         IndependentCascade(args.probability),
         num_snapshots=args.snapshots,
-        kernel=args.kernel,
         num_shards=args.shards or DEFAULT_NUM_SHARDS,
         rng=args.seed,
     )
@@ -773,7 +739,6 @@ def _dispatch(args: argparse.Namespace, graph: DiGraph, executor: Executor) -> i
             args.rounds,
             rng=args.seed,
             executor=executor,
-            kernel=args.kernel,
         )
         print(
             f"{algo.name} @k={args.k} under {args.model}: "
@@ -797,7 +762,6 @@ def _dispatch(args: argparse.Namespace, graph: DiGraph, executor: Executor) -> i
             args.rounds,
             rng=args.seed,
             executor=executor,
-            kernel=args.kernel,
         )
         print(
             format_table(
@@ -836,7 +800,6 @@ def _dispatch(args: argparse.Namespace, graph: DiGraph, executor: Executor) -> i
             candidate_pool=args.pool,
             rng=args.seed,
             executor=executor,
-            kernel=args.kernel,
         )
         print(f"rival ({rival_algo.name}, k={args.rival_k}) spread without "
               f"blockers: {result.rival_spread_before:.2f}")
@@ -861,7 +824,6 @@ def _dispatch(args: argparse.Namespace, graph: DiGraph, executor: Executor) -> i
         rounds=args.rounds,
         rng=args.seed,
         executor=executor,
-        kernel=args.kernel,
         symmetry=args.profile_symmetry,
     )
     print(format_table(result.payoff_table.rows(), title="estimated payoffs"))

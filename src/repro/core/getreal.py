@@ -28,7 +28,6 @@ import numpy as np
 from repro.algorithms.base import SeedSelector
 from repro.cascade.base import CascadeModel
 from repro.cascade.competitive import ClaimRule, TieBreakRule
-from repro.cascade.kernels import resolve_kernel
 from repro.core.payoff import PayoffTable, estimate_payoff_table, resolve_symmetry
 from repro.core.strategy import MixedStrategy, StrategySpace
 from repro.exec.executor import Executor
@@ -195,7 +194,6 @@ def get_real(
     claim_rule: ClaimRule = ClaimRule.PROPORTIONAL,
     journal: RunJournal | None = None,
     executor: Executor | None = None,
-    kernel: str | None = None,
     symmetry: str | None = None,
 ) -> GetRealResult:
     """Run the full GetReal pipeline: estimate payoffs, then find the NE.
@@ -242,7 +240,6 @@ def get_real(
             seed_draws=seed_draws,
             tie_break=tie_break.value,
             claim_rule=claim_rule.value,
-            kernel=resolve_kernel(kernel),
             symmetry=resolve_symmetry(symmetry),
         )
     try:
@@ -270,7 +267,6 @@ def get_real(
                 claim_rule=claim_rule,
                 journal=sink,
                 executor=executor,
-                kernel=kernel,
                 symmetry=symmetry,
             )
             result = solve_strategy_game(

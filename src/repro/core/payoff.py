@@ -31,8 +31,8 @@ semantics:
   budget reallocated onto them (see :func:`symmetric_profile_plan`), and the
   remaining ``z^r − C(z+r-1, r)`` cells are filled by player permutation of
   the pooled estimates.  The resulting :meth:`PayoffTable.to_game` tensor is
-  *exactly* player-symmetric.  Precedence matches the kernel switch:
-  explicit ``symmetry=`` argument > ``REPRO_SYMMETRY`` > ``"full"``.
+  *exactly* player-symmetric.  Precedence: explicit ``symmetry=``
+  argument > ``REPRO_SYMMETRY`` > ``"full"``.
 
 All profile simulations are independent, so they are fanned out as **one
 batch** through the execution engine: seed sets are drawn sequentially up
@@ -89,11 +89,7 @@ SYMMETRY_MODES = ("full", "reduce")
 
 
 def resolve_symmetry(symmetry: str | None = None) -> str:
-    """Resolve the symmetry mode: explicit arg > ``REPRO_SYMMETRY`` > full.
-
-    Mirrors :func:`repro.cascade.kernels.resolve_kernel` exactly, so the two
-    switches compose predictably from the CLI, env vars, and config fields.
-    """
+    """Resolve the symmetry mode: explicit arg > ``REPRO_SYMMETRY`` > full."""
     resolved = symmetry or os.environ.get(SYMMETRY_ENV_VAR, "").strip() or "full"
     if resolved not in SYMMETRY_MODES:
         raise PayoffEstimationError(
@@ -250,7 +246,6 @@ def estimate_payoff_table(
     claim_rule: ClaimRule = ClaimRule.PROPORTIONAL,
     journal: RunJournal | None = None,
     executor: Executor | None = None,
-    kernel: str | None = None,
     symmetry: str | None = None,
 ) -> PayoffTable:
     """Estimate the full payoff table for *num_groups* groups over *space*.
@@ -266,8 +261,7 @@ def estimate_payoff_table(
     sorted-multiset profiles are simulated, with per-profile budgets from
     :func:`symmetric_profile_plan`, and the remaining cells are filled by
     player permutation — see the module docstring.  All cells are submitted
-    to *executor* (or the env-configured default) as a single batch, each
-    running the diffusion *kernel* (``None``: ``REPRO_KERNEL`` fallback).
+    to *executor* (or the env-configured default) as a single batch.
 
     Phase 1 (seed selection) is identical in both modes: every strategy of
     every group draws its seed set per draw, against a per-(draw, group)
@@ -356,7 +350,6 @@ def estimate_payoff_table(
                     rounds=_split_rounds(profile_rounds, seed_draws)[draw],
                     tie_break=tie_break,
                     claim_rule=claim_rule,
-                    kernel=kernel,
                 )
             )
             job_cells.append((draw, profile))

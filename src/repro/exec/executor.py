@@ -36,7 +36,6 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from repro.cascade.estimate import SpreadEstimate
-from repro.cascade.kernels import KERNELS, resolve_kernel
 from repro.errors import ExecutionError
 from repro.exec.backends import (
     BACKENDS,
@@ -83,24 +82,8 @@ _BATCH_SECONDS = histogram("exec.batch_seconds")
 # O(1) per job regardless of graph size — the scale-out invariant the
 # large-graph smoke test asserts.
 _JOB_PAYLOAD_BYTES = histogram("exec.job_payload_bytes")
-_JOBS_BY_KERNEL = {
-    name: counter(f"exec.jobs_kernel_{name}") for name in KERNELS
-}
 
 _BATCH_IDS = itertools.count()
-
-
-def _batch_kernel(jobs: Sequence[SimulationJob]) -> str:
-    """The kernel label journaled for a batch.
-
-    Jobs without a ``kernel`` attribute (e.g. snapshot-gains jobs, which
-    draw no randomness) resolve like an unset kernel; mixed batches are
-    labelled with every kernel present, slash-joined.
-    """
-    resolved = sorted(
-        {resolve_kernel(getattr(job, "kernel", None)) for job in jobs}
-    )
-    return "/".join(resolved)
 
 
 @dataclass(frozen=True)
@@ -166,7 +149,6 @@ class Executor:
         generator = as_rng(rng)
         sequences = spawn_seed_sequences(generator, len(jobs))
         batch_id = next(_BATCH_IDS)
-        kernel = _batch_kernel(jobs)
         # Harvest worker-local metric deltas only when workers do not share
         # this process's registry (process backend): serial/thread jobs
         # already increment it directly, so merging would double-count.
@@ -190,13 +172,10 @@ class Executor:
                 jobs=len(jobs),
                 backend=self.backend_name,
                 workers=self.workers,
-                kernel=kernel,
                 payload_bytes=payload_bytes,
             )
         _BATCHES.inc()
         _JOBS_SUBMITTED.inc(len(jobs))
-        for job in jobs:
-            _JOBS_BY_KERNEL[resolve_kernel(getattr(job, "kernel", None))].inc()
         registry = get_registry()
         profiler = cProfile.Profile() if profiling_enabled() else None
         outcomes: list[JobOutcome | None] = [None] * len(jobs)
@@ -207,7 +186,6 @@ class Executor:
             batch_id=batch_id,
             jobs=len(jobs),
             backend=self.backend_name,
-            kernel=kernel,
         ):
             context = current_trace_context()
             serialized = context.as_dict() if context is not None else None
@@ -268,7 +246,6 @@ class Executor:
                 backend=self.backend_name,
                 workers=self.workers,
                 duration_seconds=elapsed,
-                kernel=kernel,
             )
         _LOG.debug(
             "batch %d: %d jobs on %s/%d workers in %.3fs",

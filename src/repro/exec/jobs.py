@@ -85,17 +85,12 @@ class SimulationJob(Protocol):
 
 @dataclass(frozen=True)
 class SpreadJob:
-    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations.
-
-    ``kernel`` selects the diffusion inner loop (``"python"``/``"numpy"``;
-    ``None`` falls back to ``REPRO_KERNEL`` at run time).
-    """
+    """Estimate the non-competitive spread ``σ0(seeds)`` by *rounds* simulations."""
 
     graph: DiGraph | GraphRef
     model: CascadeModel
     seeds: tuple[int, ...]
     rounds: int
-    kernel: str | None = None
 
     @property
     def num_nodes(self) -> int | None:
@@ -105,9 +100,7 @@ class SpreadJob:
         graph = resolve_graph(self.graph)
         values = np.empty(self.rounds, dtype=float)
         for i in range(self.rounds):
-            values[i] = self.model.spread_once(
-                graph, self.seeds, generator, kernel=self.kernel
-            )
+            values[i] = self.model.spread_once(graph, self.seeds, generator)
         return (SpreadEstimate.from_values(values),)
 
 
@@ -122,9 +115,6 @@ class CompetitiveJob:
     When ``crn_base`` is set, round *i* draws from a fresh stream seeded
     ``(crn_base + crn_step·i) mod 2^63-1`` — the common-random-numbers
     pairing used by the greedy candidate loops.
-
-    ``kernel`` selects the diffusion inner loop (``"python"``/``"numpy"``;
-    ``None`` falls back to ``REPRO_KERNEL`` at run time).
     """
 
     graph: DiGraph | GraphRef
@@ -135,7 +125,6 @@ class CompetitiveJob:
     claim_rule: ClaimRule = ClaimRule.PROPORTIONAL
     crn_base: int | None = None
     crn_step: int = 7919
-    kernel: str | None = None
 
     @property
     def num_nodes(self) -> int | None:
@@ -143,9 +132,7 @@ class CompetitiveJob:
 
     def run(self, generator: np.random.Generator) -> tuple[SpreadEstimate, ...]:
         graph = resolve_graph(self.graph)
-        engine = CompetitiveDiffusion(
-            graph, self.model, self.tie_break, self.claim_rule, self.kernel
-        )
+        engine = CompetitiveDiffusion(graph, self.model, self.tie_break, self.claim_rule)
         profile = [list(seeds) for seeds in self.seed_sets]
         values = np.empty((len(profile), self.rounds), dtype=float)
         for i in range(self.rounds):

@@ -1,6 +1,6 @@
 """Declarative scenario-matrix orchestrator.
 
-Turns a JSON *matrix spec* — the cross product dataset × model × kernel ×
+Turns a JSON *matrix spec* — the cross product dataset × model ×
 backend × symmetry × k, plus pinned scale knobs — into scenario cells,
 runs each cell's registered scenario (:mod:`repro.experiments.scenarios`)
 through the batched :class:`~repro.exec.executor.Executor`, journals every
@@ -16,7 +16,6 @@ A spec file looks like::
       "trajectory": "BENCH_orchestrator_smoke.json",
       "datasets": ["hep"],
       "models": ["ic", "wc"],
-      "kernels": ["python", "numpy"],
       "backends": ["serial"],
       "symmetries": ["full"],
       "ks": [5],
@@ -47,7 +46,6 @@ from pathlib import Path
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.cascade.kernels import resolve_kernel
 from repro.core.payoff import resolve_symmetry
 from repro.errors import ExperimentError
 from repro.exec.backends import BACKENDS
@@ -89,7 +87,6 @@ class MatrixSpec:
     trajectory: Path | None = None
     datasets: tuple[str, ...] = ("hep",)
     models: tuple[str, ...] = ("ic",)
-    kernels: tuple[str, ...] = ("python",)
     backends: tuple[str, ...] = ("serial",)
     symmetries: tuple[str, ...] = ("full",)
     ks: tuple[int, ...] = (5,)
@@ -163,7 +160,6 @@ class MatrixSpec:
                 raise ExperimentError(
                     f"{source}: unknown model {model!r}; known: {_MODEL_KINDS}"
                 )
-        kernels = tuple(resolve_kernel(str(k)) for k in axis("kernels", ("python",)))
         backends = tuple(str(b) for b in axis("backends", ("serial",)))
         for backend in backends:
             if backend not in BACKENDS:
@@ -199,7 +195,6 @@ class MatrixSpec:
             trajectory=Path(trajectory) if trajectory else None,
             datasets=datasets,
             models=models,
-            kernels=kernels,
             backends=backends,
             symmetries=symmetries,
             ks=ks,
@@ -225,15 +220,13 @@ class MatrixSpec:
             ScenarioCell(
                 dataset=dataset,
                 model=model,
-                kernel=kernel,
                 backend=backend,
                 symmetry=symmetry,
                 k=k,
             )
-            for dataset, model, kernel, backend, symmetry, k in product(
+            for dataset, model, backend, symmetry, k in product(
                 self.datasets,
                 self.models,
-                self.kernels,
                 self.backends,
                 self.symmetries,
                 self.ks,
@@ -263,7 +256,6 @@ class MatrixSpec:
             "trajectory": str(self.trajectory) if self.trajectory else None,
             "datasets": list(self.datasets),
             "models": list(self.models),
-            "kernels": list(self.kernels),
             "backends": list(self.backends),
             "symmetries": list(self.symmetries),
             "ks": list(self.ks),
@@ -410,7 +402,6 @@ def _run_cells(
         for cell in cells:
             config = ExperimentConfig(
                 backend=cell.backend,
-                kernel=cell.kernel,
                 symmetry=cell.symmetry,
                 ks=(cell.k,),
                 **overrides,

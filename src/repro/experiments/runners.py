@@ -182,7 +182,6 @@ def spread_rows(
                     config.rounds,
                     rng,
                     executor=config.executor(),
-                    kernel=config.kernel,
                 )
                 rows.append(
                     {
@@ -201,7 +200,6 @@ def spread_rows(
                     config.rounds,
                     rng,
                     executor=config.executor(),
-                    kernel=config.kernel,
                 )
                 rows.append(
                     {
@@ -238,7 +236,6 @@ def _mixture_for(
         seed_draws=3,
         rng=config.seed,
         executor=config.executor(),
-        kernel=config.kernel,
         symmetry=config.symmetry,
     )
     return result.mixture, space
@@ -285,7 +282,6 @@ def mixed_vs_random_rows(
                     rounds=1,
                     rng=rng,
                     executor=config.executor(),
-                    kernel=config.kernel,
                 )
                 totals += [ests[0].mean, ests[1].mean]
             means = totals / simulation_rounds
@@ -332,7 +328,6 @@ def profile_rows(
                 config.rounds,
                 rng,
                 executor=config.executor(),
-                kernel=config.kernel,
             )
             weight = mixture.probabilities[i] * mixture.probabilities[j]
             mixed_expect += weight * np.array([ests[0].mean, ests[1].mean])
@@ -391,7 +386,6 @@ def response_time_rows(
                     rounds=max(4, config.rounds // 4),
                     rng=rng,
                     executor=config.executor(),
-                    kernel=config.kernel,
                     symmetry=config.symmetry,
                 )
                 game = table.to_game()
@@ -445,7 +439,6 @@ def sensitivity_rows(
                 rounds=rounds,
                 rng=as_rng(config.seed + 100 + 31 * i + rounds),
                 executor=config.executor(),
-                kernel=config.kernel,
                 symmetry=config.symmetry,
             )
             kinds.append(result.kind)

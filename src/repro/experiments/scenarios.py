@@ -2,11 +2,11 @@
 
 A *scenario* is the measurement taken inside one cell of a scenario
 matrix: a callable ``fn(cell, config) -> metrics`` where *cell* is the
-:class:`ScenarioCell` naming the (dataset, model, kernel, backend,
-symmetry, k) coordinates, *config* is a fully resolved
+:class:`ScenarioCell` naming the (dataset, model, backend, symmetry, k)
+coordinates, *config* is a fully resolved
 :class:`~repro.experiments.config.ExperimentConfig` for that cell (its
 ``executor()``/``load()``/``strategy_space()`` plumbing already points at
-the cell's backend, kernel and dataset), and *metrics* is a flat JSON
+the cell's backend and dataset), and *metrics* is a flat JSON
 object of results.
 
 Metric value conventions — these drive the regression gate
@@ -51,7 +51,6 @@ class ScenarioCell:
 
     dataset: str
     model: str
-    kernel: str
     backend: str
     symmetry: str
     k: int
@@ -60,8 +59,8 @@ class ScenarioCell:
     def cell_id(self) -> str:
         """Stable identifier used in manifests, journals and trajectories."""
         return (
-            f"{self.dataset}/{self.model}/{self.kernel}/"
-            f"{self.backend}/{self.symmetry}/k{self.k}"
+            f"{self.dataset}/{self.model}/{self.backend}/"
+            f"{self.symmetry}/k{self.k}"
         )
 
 
@@ -112,7 +111,7 @@ def competitive_spread(cell: ScenarioCell, config: Any) -> dict[str, Any]:
 
     Exercises the full estimation stack — strategy selection (MixGreedy's
     snapshot pools + the selection cache), the batched executor on the
-    cell's backend, and the cell's diffusion kernel.
+    cell's backend, and the numpy diffusion kernel.
     """
     from repro.cascade.simulate import estimate_competitive_spread
     from repro.core.metrics import jaccard
@@ -129,7 +128,6 @@ def competitive_spread(cell: ScenarioCell, config: Any) -> dict[str, Any]:
         config.rounds,
         rng,
         executor=config.executor(),
-        kernel=cell.kernel,
     )
     return {
         "p1_spread": {
@@ -165,7 +163,6 @@ def getreal(cell: ScenarioCell, config: Any) -> dict[str, Any]:
         rounds=config.rounds,
         rng=config.seed,
         executor=config.executor(),
-        kernel=cell.kernel,
         symmetry=cell.symmetry,
     )
     return {
@@ -212,7 +209,6 @@ def payoff_speedup(cell: ScenarioCell, config: Any) -> dict[str, Any]:
                 rounds=config.rounds,
                 rng=config.seed,
                 executor=config.executor(),
-                kernel=cell.kernel,
                 symmetry=mode,
             )
         timings[mode] = (watch.elapsed, table)

@@ -116,6 +116,10 @@ def _two_action_symmetric(game: NormalFormGame, atol: float) -> np.ndarray | Non
     return np.array([root, 1.0 - root])
 
 
+#: Seed of the replicator fallback's start perturbation.
+_REPLICATOR_SEED = 0
+
+
 def _reject_support(support: tuple[int, ...], reason: str, detail: str) -> None:
     """Journal why *support* yields no equilibrium (a ``note`` event)."""
     sink = current_journal()
@@ -191,8 +195,10 @@ def symmetric_mixed_equilibrium(
 
     Strategy: exact closed form / root finding for two actions; support
     enumeration (largest supports first when *prefer_interior*) with
-    indifference solving otherwise; replicator dynamics as a fallback.
-    Raises :class:`EquilibriumError` only if every method fails, which for a
+    indifference solving otherwise; replicator dynamics as a fallback,
+    started from a fixed perturbation (so the result is a function of the
+    payoffs alone) and journaled as a ``note`` event.  Raises
+    :class:`EquilibriumError` only if every method fails, which for a
     genuinely symmetric game indicates numerically hostile payoffs.
     """
     counts = set(game.payoffs.shape[:-1])
@@ -221,8 +227,18 @@ def symmetric_mixed_equilibrium(
 
     from repro.game.replicator import replicator_dynamics
 
-    mixture = replicator_dynamics(game)
-    if regret_of_symmetric_mixture(game, mixture) <= 1e-4:
+    # A fixed start perturbation: one payoff tensor always yields one mixture.
+    mixture = replicator_dynamics(game, rng=_REPLICATOR_SEED)
+    regret = regret_of_symmetric_mixture(game, mixture)
+    sink = current_journal()
+    if sink is not None:
+        sink.emit(
+            "note",
+            message="mixed-NE replicator fallback",
+            mixture=[float(p) for p in mixture],
+            regret=float(regret),
+        )
+    if regret <= 1e-4:
         return mixture
     raise EquilibriumError(
         "failed to locate a symmetric equilibrium; payoffs may be too noisy"

@@ -148,7 +148,6 @@ class IncrementalSession:
         graph: DiGraph,
         model: CascadeModel,
         num_snapshots: int = 8,
-        kernel: str | None = None,
         num_shards: int = DEFAULT_NUM_SHARDS,
         rng: RandomSource = None,
         tolerance: float = 1e-9,
@@ -168,7 +167,6 @@ class IncrementalSession:
         self.graph = graph
         self.model = model
         self.num_snapshots = int(num_snapshots)
-        self.kernel = kernel
         self.num_shards = int(num_shards)
         self.tolerance = float(tolerance)
         self.repair_budget = repair_budget
@@ -211,9 +209,7 @@ class IncrementalSession:
             self._masks, self._reach = masks, reach
             self._oracle = None
         if self._oracle is None:
-            self._oracle = SnapshotOracle(
-                self.graph, self._masks, kernel=self.kernel
-            )
+            self._oracle = SnapshotOracle(self.graph, self._masks)
         return self._masks, self._reach, self._oracle
 
     def _gains(self) -> list[float]:
@@ -222,12 +218,7 @@ class IncrementalSession:
 
     def journal_params(self) -> dict[str, object]:
         """``run_start`` fields attributing warm vs cold paths in traces."""
-        from repro.cascade.kernels import resolve_kernel
-
-        return {
-            "kernel": resolve_kernel(self.kernel),
-            "shards": self.num_shards,
-        }
+        return {"shards": self.num_shards}
 
     # ------------------------------------------------------------------ #
     # cold selection

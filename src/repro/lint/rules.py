@@ -488,11 +488,11 @@ class NoPerNodeDiffusionLoops(Rule):
 
     A Python loop that expands adjacency node by node
     (``out_neighbors``/``in_neighbors``/``out_edge_ids`` inside a
-    ``for``/``while``) re-creates exactly the hardware-starved inner loop
-    the kernel module replaces: it cannot be vectorized behind the
-    ``kernel=`` switch, silently ignores ``REPRO_KERNEL``, and splits the
-    diffusion semantics across modules.  New sweeps should be implemented
-    as a kernel pair (python reference + numpy vectorization) in
+    ``for``/``while``) re-creates a diffusion or sweep inner loop outside
+    the one module that owns them: it escapes the per-layer choice of
+    implementation (numpy diffusion, python snapshot sweeps), the
+    equivalence tests and the kernel benchmark, and splits the diffusion
+    semantics across modules.  New walks belong in
     :mod:`repro.cascade.kernels`; model-specific dynamics that genuinely
     have no vectorized form carry an explicit suppression.
     """
@@ -500,13 +500,13 @@ class NoPerNodeDiffusionLoops(Rule):
     code: ClassVar[str] = "RP007"
     name: ClassVar[str] = "no-per-node-diffusion-loops"
     rationale: ClassVar[str] = (
-        "per-node adjacency walks outside the kernel module bypass the "
-        "kernel switch: they stay pure-Python regardless of REPRO_KERNEL "
-        "and fork the diffusion semantics"
+        "per-node adjacency walks outside the kernel module escape its "
+        "measured per-layer implementation and its equivalence tests, and "
+        "fork the diffusion semantics"
     )
     hint: ClassVar[str] = (
-        "implement the sweep in repro/cascade/kernels.py as a python+numpy "
-        "kernel pair and dispatch through its public functions; suppress "
+        "implement the walk in repro/cascade/kernels.py and call its public "
+        "functions; suppress "
         "with '# reprolint: disable=RP007' only for model-specific "
         "dynamics with no vectorized form"
     )

@@ -1,83 +1,59 @@
-"""Unit tests for the diffusion-kernel layer (:mod:`repro.cascade.kernels`).
+"""Unit tests for the kernel layer (:mod:`repro.cascade.kernels`).
 
-Selection semantics (argument > ``REPRO_KERNEL`` > ``python`` default), the
-numpy kernel's diffusion semantics on gadget graphs where the exact
+The numpy diffusion kernel's semantics on gadget graphs where the exact
 activation/claim probabilities are known, error parity with the python
-reference, and the kernel metrics/journal plumbing.  Cross-kernel
-statistical equivalence lives in ``tests/test_kernel_equivalence.py``.
+reference walks, the snapshot sweeps checked against
+:meth:`DiGraph.reachable_from`, and the absence of any kernel switch.
+Statistical equivalence of the numpy kernel and the reference walks lives
+in ``tests/test_kernel_equivalence.py``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.cascade import KERNEL_ENV_VAR, KERNELS, resolve_kernel
 from repro.cascade.competitive import ClaimRule, CompetitiveDiffusion
 from repro.cascade.ic import IndependentCascade
 from repro.cascade.kernels import (
+    _simulate_cascade_python,
+    _simulate_threshold_python,
+    absorb_reachable,
     claim_group,
+    count_new_reachable,
     reachable_mask,
+    reachable_mask_batch,
     simulate_cascade,
     simulate_threshold,
 )
 from repro.cascade.lt import LinearThreshold
-from repro.cascade.simulate import estimate_spread
 from repro.cascade.snapshots import SnapshotOracle, sample_snapshots
 from repro.errors import CascadeError, GraphError
-from repro.exec.executor import Executor
 from repro.experiments.config import ExperimentConfig
 from repro.graphs.digraph import DiGraph
-from repro.obs.metrics import counter
+from repro.utils.bitset import num_words, unpack_bits
 from repro.utils.rng import as_rng
 
 
-class TestResolveKernel:
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel() == "python"
-        assert resolve_kernel(None) == "python"
+class TestNoKernelKnob:
+    """Each layer has one implementation; nothing selects another."""
 
-    def test_explicit_argument(self):
-        assert resolve_kernel("numpy") == "numpy"
-        assert resolve_kernel("python") == "python"
+    def test_engine_rejects_kernel_argument(self, karate):
+        with pytest.raises(TypeError, match="kernel"):
+            CompetitiveDiffusion(karate, IndependentCascade(0.1), kernel="python")
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert resolve_kernel() == "numpy"
+    def test_repro_kernel_env_is_ignored(self, karate, monkeypatch):
+        engine = CompetitiveDiffusion(karate, IndependentCascade(0.2))
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        unset = engine.run([[0, 1], [33, 32]], rng=42)
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        pinned = engine.run([[0, 1], [33, 32]], rng=42)
+        np.testing.assert_array_equal(unset.owner, pinned.owner)
+        np.testing.assert_array_equal(unset.activation_round, pinned.activation_round)
 
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert resolve_kernel("python") == "python"
-
-    def test_blank_env_ignored(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "  ")
-        assert resolve_kernel() == "python"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(CascadeError, match="unknown cascade kernel"):
-            resolve_kernel("fortran")
-
-    def test_unknown_env_kernel_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "cython")
-        with pytest.raises(CascadeError, match="unknown cascade kernel"):
-            resolve_kernel()
-
-    def test_known_kernels(self):
-        assert KERNELS == ("python", "numpy")
-
-    def test_engine_resolves_env_default(self, karate, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        engine = CompetitiveDiffusion(karate, IndependentCascade(0.1))
-        assert engine.kernel == "numpy"
-
-    def test_engine_rejects_unknown_kernel(self, karate):
-        with pytest.raises(CascadeError, match="unknown cascade kernel"):
-            CompetitiveDiffusion(karate, IndependentCascade(0.1), kernel="gpu")
-
-    def test_experiment_config_reads_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
-        assert ExperimentConfig().kernel == "numpy"
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert ExperimentConfig().kernel == "python"
+    def test_experiment_config_has_no_kernel_field(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert "kernel" not in names
 
 
 class TestClaimGroup:
@@ -113,24 +89,18 @@ class TestEdgeIds:
 
 class TestNumpyCompetitiveCascade:
     def test_p_zero_only_initiators_active(self, karate):
-        engine = CompetitiveDiffusion(
-            karate, IndependentCascade(0.0), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(karate, IndependentCascade(0.0))
         outcome = engine.run([[0, 1], [2, 3]], rng=7)
         assert outcome.total_activated == 4
         assert outcome.rounds == 1  # one empty attempt round, then quiescence
 
     def test_p_one_claims_every_node(self, karate):
-        engine = CompetitiveDiffusion(
-            karate, IndependentCascade(1.0), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(karate, IndependentCascade(1.0))
         outcome = engine.run([[0], [33]], rng=8)
         assert outcome.total_activated == karate.num_nodes
 
     def test_ownership_partitions_active_nodes(self, karate):
-        engine = CompetitiveDiffusion(
-            karate, IndependentCascade(0.3), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(karate, IndependentCascade(0.3))
         for seed in range(10):
             outcome = engine.run([[0, 1], [33, 32]], rng=seed)
             assert outcome.spreads().sum() == outcome.total_activated
@@ -139,7 +109,7 @@ class TestNumpyCompetitiveCascade:
         # Node 2 has two attacking in-edges: P(activation) = 1 - (1-p)^2.
         graph = DiGraph(3, [(0, 2), (1, 2)])
         p = 0.4
-        engine = CompetitiveDiffusion(graph, IndependentCascade(p), kernel="numpy")
+        engine = CompetitiveDiffusion(graph, IndependentCascade(p))
         rng = as_rng(32)
         n = 4000
         activations = sum(
@@ -150,9 +120,7 @@ class TestNumpyCompetitiveCascade:
     def test_claim_proportional_to_attacker_count(self):
         # Two attackers for group 0, one for group 1: claims split 2/3 vs 1/3.
         graph = DiGraph(4, [(0, 3), (1, 3), (2, 3)])
-        engine = CompetitiveDiffusion(
-            graph, IndependentCascade(0.9), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(graph, IndependentCascade(0.9))
         rng = as_rng(33)
         claims = np.zeros(2)
         for _ in range(3000):
@@ -167,7 +135,6 @@ class TestNumpyCompetitiveCascade:
             graph,
             IndependentCascade(1.0),
             claim_rule=ClaimRule.WINNER_TAKE_ALL,
-            kernel="numpy",
         )
         rng = as_rng(34)
         for _ in range(100):
@@ -179,16 +146,14 @@ class TestNumpyCompetitiveCascade:
             assert share == pytest.approx(1 / 3, abs=0.04)
 
     def test_activation_rounds_recorded(self, path_graph):
-        engine = CompetitiveDiffusion(
-            path_graph, IndependentCascade(1.0), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(path_graph, IndependentCascade(1.0))
         outcome = engine.run([[0]], rng=9)
         assert outcome.activation_round.tolist() == [0, 1, 2, 3, 4]
         assert outcome.rounds == 5  # 4 claiming rounds + 1 empty final round
 
     def test_lt_gadget_splits_fairly(self):
         graph = DiGraph(3, [(0, 2), (1, 2)])
-        engine = CompetitiveDiffusion(graph, LinearThreshold(), kernel="numpy")
+        engine = CompetitiveDiffusion(graph, LinearThreshold())
         rng = as_rng(35)
         claims = np.zeros(2)
         for _ in range(2000):
@@ -199,9 +164,7 @@ class TestNumpyCompetitiveCascade:
         assert claims[0] / claims.sum() == pytest.approx(0.5, abs=0.05)
 
     def test_deterministic_for_fixed_seed(self, karate):
-        engine = CompetitiveDiffusion(
-            karate, IndependentCascade(0.2), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(karate, IndependentCascade(0.2))
         a = engine.run([[0, 1], [33, 32]], rng=42)
         b = engine.run([[0, 1], [33, 32]], rng=42)
         np.testing.assert_array_equal(a.owner, b.owner)
@@ -211,93 +174,107 @@ class TestNumpyCompetitiveCascade:
 class TestNumpySingleGroup:
     def test_seed_out_of_range_matches_python_error(self, karate, rng):
         probs = np.full(karate.num_edges, 0.1)
-        with pytest.raises(CascadeError, match=r"seed 99 out of range"):
-            simulate_cascade(karate, probs, [0, 99], rng, kernel="numpy")
-        with pytest.raises(CascadeError, match=r"seed -1 out of range"):
-            simulate_threshold(karate, [-1], rng, kernel="numpy")
+        for simulate in (simulate_cascade, _simulate_cascade_python):
+            with pytest.raises(CascadeError, match=r"seed 99 out of range"):
+                simulate(karate, probs, [0, 99], rng)
+        for simulate in (simulate_threshold, _simulate_threshold_python):
+            with pytest.raises(CascadeError, match=r"seed -1 out of range"):
+                simulate(karate, [-1], rng)
 
     def test_p_zero_only_seeds(self, karate, rng):
         probs = np.zeros(karate.num_edges)
-        active = simulate_cascade(karate, probs, [0, 5], rng, kernel="numpy")
+        active = simulate_cascade(karate, probs, [0, 5], rng)
         assert sorted(np.flatnonzero(active)) == [0, 5]
 
     def test_p_one_reaches_everything_reachable(self, path_graph, rng):
         probs = np.ones(path_graph.num_edges)
-        active = simulate_cascade(path_graph, probs, [1], rng, kernel="numpy")
+        active = simulate_cascade(path_graph, probs, [1], rng)
         assert sorted(np.flatnonzero(active)) == [1, 2, 3, 4]
 
     def test_duplicate_seeds_collapse(self, karate, rng):
         probs = np.zeros(karate.num_edges)
-        active = simulate_cascade(karate, probs, [3, 3, 3], rng, kernel="numpy")
+        active = simulate_cascade(karate, probs, [3, 3, 3], rng)
         assert active.sum() == 1
 
     def test_lt_path_wave_is_deterministic(self, path_graph, rng):
         # Every path node has a single in-neighbour of weight 1, so the wave
         # from node 0 claims everything regardless of thresholds.
-        active = simulate_threshold(path_graph, [0], rng, kernel="numpy")
+        active = simulate_threshold(path_graph, [0], rng)
         assert active.all()
 
-    def test_model_simulate_accepts_kernel(self, karate):
+    def test_model_simulate_runs_numpy_kernel(self, karate):
         model = IndependentCascade(0.15)
-        active = model.simulate(karate, [0, 33], rng=11, kernel="numpy")
+        active = model.simulate(karate, [0, 33], rng=11)
         assert active[0] and active[33]
+        probs = model.edge_probabilities(karate)
+        expected = simulate_cascade(karate, probs, [0, 33], as_rng(11))
+        np.testing.assert_array_equal(active, expected)
 
 
-class TestNumpyReachability:
+def _masks(graph, count, packed):
+    masks = sample_snapshots(graph, IndependentCascade(0.3), count, seed=3)
+    return masks if packed else [unpack_bits(m, graph.num_edges) for m in masks]
+
+
+class TestSnapshotSweeps:
+    """The four sweeps against :meth:`DiGraph.reachable_from`."""
+
     def test_bad_source_raises_graph_error(self, karate):
         with pytest.raises(GraphError, match="out of range"):
-            reachable_mask(karate, [999], kernel="numpy")
+            reachable_mask(karate, [999])
+        for count in (0, 2):
+            matrix = np.zeros((count, karate.num_edges), dtype=bool)
+            with pytest.raises(GraphError, match="out of range"):
+                reachable_mask_batch(karate, [0, 999], matrix)
 
-    def test_matches_python_sweep(self, random_graph, rng):
-        mask = rng.random(random_graph.num_edges) < 0.5
-        for source in range(0, random_graph.num_nodes, 7):
-            np.testing.assert_array_equal(
-                reachable_mask(random_graph, [source], mask, kernel="python"),
-                reachable_mask(random_graph, [source], mask, kernel="numpy"),
-            )
+    def test_batch_of_zero_snapshots(self, random_graph):
+        for matrix in (
+            np.zeros((0, random_graph.num_edges), dtype=bool),
+            np.zeros((0, num_words(random_graph.num_edges)), dtype=np.uint64),
+        ):
+            batch = reachable_mask_batch(random_graph, [0, 4], matrix)
+            assert batch.shape == (0, random_graph.num_nodes)
+            assert batch.dtype == bool
 
-    def test_oracle_results_are_kernel_independent(self, random_graph):
-        # The sweeps draw no randomness, so oracle numbers must be *exactly*
-        # equal across kernels, not merely statistically close.
-        masks = sample_snapshots(random_graph, IndependentCascade(0.2), 8, seed=3)
-        py = SnapshotOracle(random_graph, masks, kernel="python")
-        np_ = SnapshotOracle(random_graph, masks, kernel="numpy")
+    @pytest.mark.parametrize("packed", [False, True], ids=["bool", "packed"])
+    def test_reachable_mask_and_batch(self, random_graph, packed):
+        masks = _masks(random_graph, 6, packed)
+        for sources in ([0], [3, 3, 17], [5, 40, 59], []):
+            batch = reachable_mask_batch(random_graph, sources, np.stack(masks))
+            assert batch.shape == (len(masks), random_graph.num_nodes)
+            for row, mask in zip(batch, masks):
+                expected = random_graph.reachable_from(sources, mask)
+                np.testing.assert_array_equal(
+                    reachable_mask(random_graph, sources, mask), expected
+                )
+                np.testing.assert_array_equal(row, expected)
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["bool", "packed"])
+    def test_count_new_and_absorb(self, random_graph, packed):
+        for mask in _masks(random_graph, 4, packed):
+            for seeds, candidate in (([0], 9), ([2, 30], 2), ([], 11), ([7], 44)):
+                reached = random_graph.reachable_from(seeds, mask)
+                before = reached.copy()
+                union = random_graph.reachable_from([*seeds, candidate], mask)
+                gain = count_new_reachable(random_graph, mask, candidate, reached)
+                np.testing.assert_array_equal(reached, before)  # no mutation
+                assert gain == int(union.sum() - before.sum())
+                absorb_reachable(random_graph, mask, candidate, reached)
+                np.testing.assert_array_equal(reached, union)
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["bool", "packed"])
+    def test_oracle_matches_reachable_from(self, random_graph, packed):
+        masks = _masks(random_graph, 8, packed)
+        oracle = SnapshotOracle(random_graph, masks)
         seeds = [0, 9, 17]
-        assert py.spread(seeds) == np_.spread(seeds)
-        reached_py, reached_np = py.reach(seeds), np_.reach(seeds)
-        for a, b in zip(reached_py, reached_np):
-            np.testing.assert_array_equal(a, b)
-        for candidate in (3, 25, 40):
-            assert py.marginal_gain(candidate, reached_py) == np_.marginal_gain(
-                candidate, reached_np
-            )
-        py.extend_reach(reached_py, 25)
-        np_.extend_reach(reached_np, 25)
-        for a, b in zip(reached_py, reached_np):
-            np.testing.assert_array_equal(a, b)
-
-
-class TestKernelInstrumentation:
-    def test_simulation_counter_records_kernel(self, karate):
-        handle = counter("kernel.numpy.simulations")
-        before = handle.value
-        engine = CompetitiveDiffusion(
-            karate, IndependentCascade(0.1), kernel="numpy"
-        )
-        engine.run([[0], [33]], rng=1)
-        assert handle.value == before + 1
-
-    def test_executor_counts_jobs_by_kernel(self, karate):
-        handle = counter("exec.jobs_kernel_numpy")
-        before = handle.value
-        with Executor("serial") as ex:
-            estimate_spread(
-                karate,
-                IndependentCascade(0.1),
-                [0],
-                rounds=3,
-                rng=2,
-                executor=ex,
-                kernel="numpy",
-            )
-        assert handle.value == before + 1
+        expected = [random_graph.reachable_from(seeds, m) for m in masks]
+        assert oracle.spread(seeds) == sum(int(e.sum()) for e in expected) / len(masks)
+        reached = oracle.reach(seeds)
+        for row, exp in zip(reached, expected):
+            np.testing.assert_array_equal(row, exp)
+        grown = [random_graph.reachable_from([*seeds, 25], m) for m in masks]
+        gain = sum(int(g.sum() - e.sum()) for g, e in zip(grown, expected))
+        assert oracle.marginal_gain(25, reached) == gain / len(masks)
+        oracle.extend_reach(reached, 25)
+        for row, exp in zip(reached, grown):
+            np.testing.assert_array_equal(row, exp)

@@ -246,3 +246,27 @@ class TestSupportRejectionsJournaled:
             0.0,
             0.0,
         ]
+
+
+class TestReplicatorFallback:
+    """Support enumeration failing hands over to a deterministic replicator run."""
+
+    def test_fallback_is_bit_identical_and_journaled(self, tmp_path, monkeypatch):
+        from repro.game import mixed
+
+        monkeypatch.setattr(mixed, "_support_solve", lambda *args: None)
+        game = NormalFormGame.from_bimatrix(
+            np.array([[1.0, 3.0, 0.5], [2.0, 1.0, 1.5], [0.5, 2.5, 1.0]])
+        )
+        mixtures, notes = [], []
+        for run in range(2):
+            path = tmp_path / f"journal-{run}.jsonl"
+            with RunJournal(path) as journal, attached(journal):
+                mixtures.append(symmetric_mixed_equilibrium(game))
+            notes.append([e for e in read_journal(path) if e["event"] == "note"])
+        assert mixtures[0].tobytes() == mixtures[1].tobytes()
+        for run_notes, mixture in zip(notes, mixtures):
+            assert len(run_notes) == 1
+            assert run_notes[0]["message"] == "mixed-NE replicator fallback"
+            assert run_notes[0]["mixture"] == mixture.tolist()
+            assert run_notes[0]["regret"] <= 1e-4

@@ -297,9 +297,9 @@ class TestIncrementalSession:
     def test_journal_params(self):
         graph, _ = graph_and_delta(seed=74)
         session = IncrementalSession(
-            graph, MODEL, num_snapshots=2, kernel="numpy", num_shards=8
+            graph, MODEL, num_snapshots=2, num_shards=8
         )
-        assert session.journal_params() == {"kernel": "numpy", "shards": 8}
+        assert session.journal_params() == {"shards": 8}
 
     def test_constructor_validation(self):
         graph, _ = graph_and_delta(seed=75)

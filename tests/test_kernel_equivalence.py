@@ -1,13 +1,15 @@
-"""Cross-kernel equivalence suite (the kernel determinism contract).
+"""Kernel equivalence suite (the kernel determinism contract).
 
-The python and numpy kernels consume randomness in different orders, so
+The numpy diffusion kernel and the private python reference walks of
+:mod:`repro.cascade.kernels` consume randomness in different orders, so
 they are **not** bit-identical to each other; the contract
 (``docs/execution.md``) is:
 
 * **statistical equivalence** — per-node activation and claim probabilities
-  match exactly, so spread estimates from the two kernels agree within
-  sampling noise (asserted at 3 pooled standard errors on every tier-1
-  graph/model pairing, with fixed seeds so the check is deterministic);
+  match exactly, so spread estimates from the kernel and the reference
+  walk agree within sampling noise (asserted at 3 pooled standard errors
+  on every tier-1 graph/model pairing, with fixed seeds so the check is
+  deterministic);
 * **within-kernel determinism** — for a fixed master seed the numpy kernel
   is bit-identical to itself across runs, backends, and worker counts
   (the SeedSequence discipline of :mod:`repro.exec`).
@@ -21,8 +23,20 @@ import numpy as np
 import pytest
 
 from repro.algorithms import DegreeDiscount, RandomSeeds
-from repro.cascade.competitive import CompetitiveDiffusion
+from repro.cascade.base import CascadeModel
+from repro.cascade.competitive import (
+    ClaimRule,
+    CompetitiveDiffusion,
+    TieBreakRule,
+    assign_initiators,
+)
 from repro.cascade.ic import IndependentCascade
+from repro.cascade.kernels import (
+    _competitive_cascade_python,
+    _competitive_threshold_python,
+    _simulate_cascade_python,
+    _simulate_threshold_python,
+)
 from repro.cascade.lt import LinearThreshold
 from repro.cascade.wc import WeightedCascade
 from repro.core.payoff import estimate_payoff_table
@@ -44,6 +58,35 @@ MODELS = {
 }
 
 
+def _reference_spread(
+    graph: DiGraph, model: CascadeModel, seeds: list[int], rng: np.random.Generator
+) -> int:
+    """One single-group spread from the python reference walk."""
+    if isinstance(model, LinearThreshold):
+        return int(_simulate_threshold_python(graph, seeds, rng).sum())
+    probs = model.edge_probabilities(graph)
+    return int(_simulate_cascade_python(graph, probs, seeds, rng).sum())
+
+
+def _reference_spreads(
+    graph: DiGraph,
+    model: CascadeModel,
+    profile: list[list[int]],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Per-group spreads of one competitive run of the python reference walk."""
+    initiators = assign_initiators(graph.num_nodes, profile, TieBreakRule.UNIFORM, rng)
+    if isinstance(model, LinearThreshold):
+        owner, _, _ = _competitive_threshold_python(
+            graph, initiators, ClaimRule.PROPORTIONAL, rng
+        )
+    else:
+        owner, _, _ = _competitive_cascade_python(
+            graph, model.edge_probabilities(graph), initiators, ClaimRule.PROPORTIONAL, rng
+        )
+    return np.bincount(owner[owner >= 0], minlength=len(profile))
+
+
 def _assert_within_pooled_stderr(a: np.ndarray, b: np.ndarray) -> None:
     """Means of two sample sets agree within 3 pooled standard errors."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -62,14 +105,11 @@ class TestSingleGroupEquivalence:
     def test_spread_means_agree(self, graph_name, model_name):
         graph, seeds = GRAPHS[graph_name]
         model = MODELS[model_name]
-        samples = {}
-        for kernel in ("python", "numpy"):
-            rng = as_rng(2015)
-            samples[kernel] = [
-                model.spread_once(graph, seeds, rng, kernel=kernel)
-                for _ in range(300)
-            ]
-        _assert_within_pooled_stderr(samples["python"], samples["numpy"])
+        rng = as_rng(2015)
+        numpy_kernel = [model.spread_once(graph, seeds, rng) for _ in range(300)]
+        rng = as_rng(2015)
+        reference = [_reference_spread(graph, model, seeds, rng) for _ in range(300)]
+        _assert_within_pooled_stderr(reference, numpy_kernel)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -77,20 +117,17 @@ class TestSingleGroupEquivalence:
 class TestCompetitiveEquivalence:
     def test_group_spread_means_agree(self, graph_name, model_name):
         graph, seeds = GRAPHS[graph_name]
+        model = MODELS[model_name]
         profile = [seeds[:1], seeds[1:]]
-        samples = {}
-        for kernel in ("python", "numpy"):
-            engine = CompetitiveDiffusion(
-                graph, MODELS[model_name], kernel=kernel
-            )
-            rng = as_rng(7)
-            samples[kernel] = np.array(
-                [engine.run(profile, rng).spreads() for _ in range(300)]
-            )
+        engine = CompetitiveDiffusion(graph, model)
+        rng = as_rng(7)
+        numpy_kernel = np.array([engine.run(profile, rng).spreads() for _ in range(300)])
+        rng = as_rng(7)
+        reference = np.array(
+            [_reference_spreads(graph, model, profile, rng) for _ in range(300)]
+        )
         for group in range(2):
-            _assert_within_pooled_stderr(
-                samples["python"][:, group], samples["numpy"][:, group]
-            )
+            _assert_within_pooled_stderr(reference[:, group], numpy_kernel[:, group])
 
 
 class TestNumpyKernelDeterminism:
@@ -107,7 +144,6 @@ class TestNumpyKernelDeterminism:
             seed_draws=2,
             rng=2015,
             executor=executor,
-            kernel="numpy",
         )
 
     def _flatten(self, table):
@@ -143,9 +179,7 @@ class TestNumpyKernelDeterminism:
 
     def test_engine_level_repeatability(self):
         graph = erdos_renyi(80, 400, rng=5)
-        engine = CompetitiveDiffusion(
-            graph, WeightedCascade(), kernel="numpy"
-        )
+        engine = CompetitiveDiffusion(graph, WeightedCascade())
         a = engine.run([[0, 1], [2, 3]], rng=99)
         b = engine.run([[0, 1], [2, 3]], rng=99)
         np.testing.assert_array_equal(a.owner, b.owner)

@@ -4,7 +4,8 @@ Covers :class:`~repro.cascade.pools.SnapshotPool` sharing semantics (one
 live-edge sample per (model, count) request served to every strategy of a
 group), the Theorem-1 independence of per-group pools, and the bit-identity
 of :func:`~repro.cascade.kernels.reachable_mask_batch` against the
-sequential per-mask sweep on both kernels.
+sequential per-mask sweep, :meth:`DiGraph.reachable_from` and a
+plain-Python BFS reference.
 """
 
 import numpy as np
@@ -165,25 +166,27 @@ class TestReachableMaskBatch:
     def _masks(self, graph, count, seed):
         return sample_snapshots(graph, IndependentCascade(0.3), count, seed=seed)
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_bit_identical_to_sequential_sweep(self, random_graph, kernel):
+    def test_bit_identical_to_sequential_sweep(self, random_graph, reach_reference):
         masks = self._masks(random_graph, 7, 10)
         matrix = np.stack(masks)
-        batch = reachable_mask_batch(random_graph, [0, 3], matrix, kernel=kernel)
+        batch = reachable_mask_batch(random_graph, [0, 3], matrix)
         assert batch.shape == (7, random_graph.num_nodes)
         for s, mask in enumerate(masks):
-            single = reachable_mask(random_graph, [0, 3], mask, kernel=kernel)
+            single = reachable_mask(random_graph, [0, 3], mask)
             np.testing.assert_array_equal(batch[s], single)
+            np.testing.assert_array_equal(
+                batch[s], reach_reference(random_graph, [0, 3], mask)
+            )
 
-    def test_kernels_agree(self, random_graph):
-        matrix = np.stack(self._masks(random_graph, 5, 11))
-        py = reachable_mask_batch(random_graph, [1, 2], matrix, kernel="python")
-        np_ = reachable_mask_batch(random_graph, [1, 2], matrix, kernel="numpy")
-        np.testing.assert_array_equal(py, np_)
+    def test_matches_reachable_from(self, random_graph):
+        masks = self._masks(random_graph, 5, 11)
+        batch = reachable_mask_batch(random_graph, [1, 2], np.stack(masks))
+        for row, mask in zip(batch, masks):
+            np.testing.assert_array_equal(row, random_graph.reachable_from([1, 2], mask))
 
     def test_empty_matrix(self, random_graph):
         matrix = np.zeros((0, random_graph.num_edges), dtype=bool)
-        batch = reachable_mask_batch(random_graph, [0], matrix, kernel="python")
+        batch = reachable_mask_batch(random_graph, [0], matrix)
         assert batch.shape == (0, random_graph.num_nodes)
 
     def test_shape_validation(self, random_graph):
@@ -197,20 +200,14 @@ class TestReachableMaskBatch:
 
 
 class TestBatchedOracle:
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_spread_matches_per_mask_average(self, random_graph, kernel):
+    def test_spread_matches_per_mask_average(self, random_graph, reach_reference):
         masks = sample_snapshots(
             random_graph, IndependentCascade(0.2), 9, seed=12
         )
-        oracle = SnapshotOracle(random_graph, masks, kernel=kernel)
+        oracle = SnapshotOracle(random_graph, masks)
         seeds = [0, 5]
         expected = float(
-            np.mean(
-                [
-                    reachable_mask(random_graph, seeds, mask, kernel=kernel).sum()
-                    for mask in masks
-                ]
-            )
+            np.mean([reach_reference(random_graph, seeds, mask).sum() for mask in masks])
         )
         assert oracle.spread(seeds) == pytest.approx(expected)
 
@@ -226,13 +223,3 @@ class TestBatchedOracle:
         oracle.extend_reach(reached, 7)
         for row, base in zip(baseline, oracle.reach([0])):
             np.testing.assert_array_equal(row, base)
-
-    def test_kernel_independent_oracle(self, random_graph):
-        masks = sample_snapshots(
-            random_graph, IndependentCascade(0.2), 6, seed=14
-        )
-        py = SnapshotOracle(random_graph, masks, kernel="python")
-        np_ = SnapshotOracle(random_graph, masks, kernel="numpy")
-        assert py.spread([2, 3]) == np_.spread([2, 3])
-        for a, b in zip(py.reach([2]), np_.reach([2])):
-            np.testing.assert_array_equal(a, b)

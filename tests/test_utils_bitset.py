@@ -133,18 +133,19 @@ class TestCrossKernelBitIdentity:
             all_reach_sizes(graph, pack_bits(mask)),
         )
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_oracle_identical(self, graph, kernel):
+    def test_oracle_identical(self, graph, reach_reference):
         model = IndependentCascade(0.1)
         packed_masks = sample_snapshots(graph, model, 4, 99)
         bool_masks = [unpack_bits(p, graph.num_edges) for p in packed_masks]
-        bool_oracle = SnapshotOracle(graph, bool_masks, kernel=kernel)
-        packed_oracle = SnapshotOracle(graph, packed_masks, kernel=kernel)
+        bool_oracle = SnapshotOracle(graph, bool_masks)
+        packed_oracle = SnapshotOracle(graph, packed_masks)
         assert is_packed(packed_oracle.mask_matrix)
         seeds = [0, 3, 17]
         assert bool_oracle.spread(seeds) == packed_oracle.spread(seeds)
-        for br, pr in zip(bool_oracle.reach(seeds), packed_oracle.reach(seeds)):
+        reach = zip(bool_oracle.reach(seeds), packed_oracle.reach(seeds), bool_masks)
+        for br, pr, mask in reach:
             np.testing.assert_array_equal(br, pr)
+            np.testing.assert_array_equal(br, reach_reference(graph, seeds, mask))
 
     def test_oracle_incremental_identical(self, graph):
         model = IndependentCascade(0.15)
