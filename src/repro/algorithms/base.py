@@ -67,6 +67,20 @@ def _select_seconds_histogram(name: str) -> Histogram:
             return handle
 
 
+def check_budget(graph: DiGraph, k: int) -> int:
+    """*k* if it is a positive budget the graph can fill, else raise.
+
+    ``ValueError`` for a non-positive *k*, :class:`SeedSelectionError` when
+    *k* exceeds the node count.
+    """
+    check_positive_int(k, "k")
+    if k > graph.num_nodes:
+        raise SeedSelectionError(
+            f"budget k={k} exceeds the graph's {graph.num_nodes} nodes"
+        )
+    return k
+
+
 class SeedSelector(ABC):
     """An influence-maximization algorithm: graph × budget → ordered seed list.
 
@@ -168,13 +182,7 @@ class SeedSelector(ABC):
         """Pool-aware body; the default ignores the pool (no snapshots used)."""
         return self._select(graph, k, rng)
 
-    def _check_budget(self, graph: DiGraph, k: int) -> int:
-        check_positive_int(k, "k")
-        if k > graph.num_nodes:
-            raise SeedSelectionError(
-                f"budget k={k} exceeds the graph's {graph.num_nodes} nodes"
-            )
-        return k
+    _check_budget = staticmethod(check_budget)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

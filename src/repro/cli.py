@@ -406,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the reprolint static-analysis rules (per-file RP001-RP009 "
-        "and RP017; --project adds the whole-program RP010-RP016)",
+        help="run every reprolint static-analysis rule (RP001-RP017) over "
+        "one package, gated by the baseline ratchet",
     )
     add_lint_arguments(lint)
 

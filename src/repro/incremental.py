@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms.base import check_budget
 from repro.algorithms.greedy import CelfTrace, repair_celf, run_celf
 from repro.cache import DeltaInvalidation, invalidate_for_delta
 from repro.cascade.base import CascadeModel
@@ -226,6 +227,7 @@ class IncrementalSession:
 
     def select(self, k: int) -> list[int]:
         """Cold CELF selection; caches the trace for later repair."""
+        check_budget(self.graph, k)
         with span("incremental.cold_select", k=k):
             _, _, oracle = self._ensure_state()
             seeds, trace = run_celf(oracle, k, self._gains())
@@ -357,6 +359,7 @@ class IncrementalSession:
         that provably still hold.  Updates ``incremental.repair_depth`` /
         ``incremental.repairs`` / ``incremental.fallbacks``.
         """
+        check_budget(self.graph, k)
         _, _, oracle = self._ensure_state()
         gains = self._gains()
         trace = self._traces.get(k)

@@ -8,33 +8,16 @@ hence the equilibrium Algorithm 1 returns.  These properties do not survive
 refactors by reviewer vigilance alone, so this package enforces them
 mechanically:
 
-* :mod:`repro.lint.rules` — the RP001–RP007 AST rules;
-* :mod:`repro.lint.engine` — file discovery, suppression handling
-  (``# reprolint: disable=RPxxx``), and human/JSON rendering;
+* :mod:`repro.lint.rules` — the per-file AST rules (RP001–RP009, RP017);
+* :mod:`repro.lint.project` — the whole-program IR and rules (RP010–RP016);
+* :mod:`repro.lint.engine` — the one engine: parse each file once, run
+  every rule, apply ``# reprolint: disable=RPxxx`` suppressions, render;
 * :mod:`repro.lint.cli` — the ``python -m repro lint`` / ``tools/reprolint``
   front end;
 * :mod:`repro.lint.contracts` — opt-in runtime contracts
   (``REPRO_CONTRACTS=1``) asserting cascade invariants during simulation.
 
 See ``docs/static-analysis.md`` for the full rule catalogue with examples.
+The package imports no submodule itself, so the simulation code that
+imports :mod:`repro.lint.contracts` does not load the linter.
 """
-
-from repro.lint.base import Finding, Rule
-from repro.lint.engine import (
-    format_findings,
-    format_json,
-    lint_paths,
-    lint_source,
-)
-from repro.lint.rules import ALL_RULES, rule_by_code
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "Rule",
-    "format_findings",
-    "format_json",
-    "lint_paths",
-    "lint_source",
-    "rule_by_code",
-]

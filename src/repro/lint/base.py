@@ -1,10 +1,11 @@
-"""Shared vocabulary of the linter: findings and the rule interface.
+"""Shared vocabulary of the linter: findings and the per-file rule interface.
 
 A :class:`Rule` is an :class:`ast.NodeVisitor` subclass with class-level
 metadata (code, rationale, fix-it hint) and a path predicate that scopes it
 to the packages where its invariant matters.  Rules append :class:`Finding`
 objects via :meth:`Rule.report`; the engine handles suppression comments and
-rendering so rules stay pure AST logic.
+rendering so rules stay pure AST logic.  Whole-program rules
+(:class:`repro.lint.project.rules.ProjectRule`) emit the same findings.
 """
 
 from __future__ import annotations
@@ -14,10 +15,18 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import ClassVar
 
+#: np.random attributes that name types, not sampling entry points — using
+#: them (annotations, isinstance checks) is exactly the discipline RP001 wants.
+RNG_TYPE_NAMES = frozenset({"Generator", "BitGenerator", "SeedSequence"})
+
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at a source location."""
+    """One rule violation at a source location.
+
+    ``trace`` is the entry→site call path of a cross-module finding (empty
+    for findings that need no call-graph evidence).
+    """
 
     path: str
     line: int
@@ -25,14 +34,18 @@ class Finding:
     code: str
     message: str
     hint: str
+    trace: str = ""
 
     def render(self) -> str:
         """``path:line:col: CODE message`` — the human-readable form."""
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+        base = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
+        if self.trace:
+            return f"{base}\n    via: {self.trace}"
+        return base
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready representation (stable key set; see docs)."""
-        return {
+        out: dict[str, object] = {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -40,6 +53,9 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
+        if self.trace:
+            out["trace"] = self.trace
+        return out
 
 
 class Rule(ast.NodeVisitor):

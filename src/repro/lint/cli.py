@@ -1,14 +1,12 @@
 """Command-line front end: ``python -m repro lint`` and ``tools/reprolint``.
 
-Two analysis modes share one argument surface:
-
-* **per-file** (default) — the RP001–RP009 AST rules, one file at a time;
-* **``--project``** — the whole-program engine: symbol table + call graph
-  over the package, RP010–RP016 dataflow rules, baseline ratchet.
+One path: ``repro lint [ROOT]`` parses every file of the package at ROOT
+once, runs every rule (per-file RP001–RP009 and RP017, whole-program
+RP010–RP016) and gates the result on the baseline ratchet.
 
 Exit codes: 0 — clean; 1 — findings (including parse errors and stale
-baseline entries); 2 — usage error (unknown rule code, missing path,
-malformed baseline).
+baseline entries); 2 — usage error (unknown rule code, ROOT not one package
+directory, malformed baseline).
 """
 
 from __future__ import annotations
@@ -16,46 +14,29 @@ from __future__ import annotations
 import argparse
 import subprocess
 import sys
-from pathlib import Path
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.lint.base import Finding
-from repro.lint.engine import (
-    PARSE_ERROR_CODE,
-    format_findings,
-    format_json,
-    iter_python_files,
-    lint_paths,
-)
+from repro.lint.engine import RULES, analyze_project, format_findings, format_json
 from repro.lint.project import (
     DEFAULT_BASELINE,
     PROJECT_RULES,
-    analyze_project,
     apply_baseline,
     load_baseline,
     write_baseline,
 )
-from repro.lint.rules import ALL_RULES
 from repro.lint.sarif import format_sarif
-
-#: Every rule class, per-file and project, for --list-rules and SARIF.
-_ALL_RULE_CLASSES = (*ALL_RULES, *PROJECT_RULES)
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach reprolint's arguments to *parser* (shared with ``repro.cli``)."""
     parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src); with --project, "
-        "one package root",
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help="whole-program analysis (RP010-RP016): symbol table + call "
-        "graph over the package, baseline ratchet",
+        "root",
+        nargs="?",
+        default="src",
+        help="the package directory to analyze (default: src, which means "
+        "src/repro); every rule runs over the whole package",
     )
     parser.add_argument(
         "--format",
@@ -80,19 +61,17 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--baseline",
         default=None,
         metavar="PATH",
-        help="baseline file for --project (default: use "
-        f"{DEFAULT_BASELINE} when it exists)",
+        help=f"baseline file (default: use {DEFAULT_BASELINE} when it exists)",
     )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="with --project: snapshot the current findings as the new "
-        "baseline and exit",
+        help="snapshot the current findings as the new baseline and exit",
     )
     parser.add_argument(
         "--show-baselined",
         action="store_true",
-        help="with --project: also print findings accepted by the baseline",
+        help="also print findings accepted by the baseline",
     )
     parser.add_argument(
         "--changed-only",
@@ -105,7 +84,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for --project fact extraction "
+        help="worker processes for parsing and fact extraction "
         "(default: min(cpus, 8))",
     )
     parser.add_argument(
@@ -129,7 +108,7 @@ def _split_codes(raw: str | None) -> list[str] | None:
 def list_rules() -> str:
     """The rule catalogue (per-file and project) as an aligned text block."""
     lines = []
-    for rule in _ALL_RULE_CLASSES:
+    for rule in RULES:
         scope = "project" if rule in PROJECT_RULES else "file"
         lines.append(f"{rule.code}  {rule.name}  [{scope}]")
         lines.append(f"       why : {rule.rationale}")
@@ -176,52 +155,19 @@ def _print_findings(
     findings: Sequence[Finding], args: argparse.Namespace
 ) -> None:
     if args.output_format == "sarif":
-        print(format_sarif(findings, _ALL_RULE_CLASSES))
+        print(format_sarif(findings, RULES))
     elif args.output_format == "json":
         print(format_json(findings))
     else:
         print(format_findings(findings, show_hints=not args.no_hints))
 
 
-def _run_per_file(args: argparse.Namespace) -> int:
-    paths = [Path(p) for p in args.paths]
-    for path in paths:
-        if not path.exists():
-            print(
-                f"reprolint: no such file or directory: {path}", file=sys.stderr
-            )
-            return 2
-    if args.changed_only:
-        changed = changed_files()
-        if changed is not None:
-            paths = [
-                f for f in iter_python_files(paths) if f.resolve() in changed
-            ]
-            if not paths:
-                print("reprolint: no changed python files")
-                return 0
-    try:
-        findings = lint_paths(
-            paths,
-            select=_split_codes(args.select),
-            ignore=_split_codes(args.ignore),
-        )
-    except ValueError as exc:
-        print(f"reprolint: {exc}", file=sys.stderr)
-        return 2
-    _print_findings(findings, args)
-    return 1 if findings else 0
-
-
-def _project_root(paths: list[Path]) -> Path | None:
-    """The single package root for --project, or None on usage error.
+def _package_root(root: Path) -> Path | None:
+    """The package directory to analyze, or None on usage error.
 
     ``src`` (the default) descends into ``src/repro`` so the analyzed
     package is the one the import graph is rooted at.
     """
-    if len(paths) != 1:
-        return None
-    root = paths[0]
     if not root.is_dir():
         return None
     if not (root / "__init__.py").exists() and (root / "repro").is_dir():
@@ -229,45 +175,34 @@ def _project_root(paths: list[Path]) -> Path | None:
     return root
 
 
-def _run_project(args: argparse.Namespace) -> int:
-    select = _split_codes(args.select)
-    ignore = _split_codes(args.ignore)
-    known = {r.code for r in _ALL_RULE_CLASSES} | {PARSE_ERROR_CODE}
-    for codes in (select, ignore):
-        unknown = set(codes or ()) - known
-        if unknown:
-            print(
-                f"reprolint: unknown rule code(s): {sorted(unknown)}",
-                file=sys.stderr,
-            )
-            return 2
-    root = _project_root([Path(p) for p in args.paths])
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed lint invocation; returns the process exit code."""
+    if args.list_rules:
+        print(list_rules())
+        return 0
+    root = _package_root(Path(args.root))
     if root is None:
         print(
-            "reprolint: --project takes exactly one package root directory",
+            f"reprolint: ROOT must be one package directory, got {args.root!r}",
             file=sys.stderr,
         )
         return 2
-
-    report = analyze_project(
-        root, select=select, ignore=ignore, jobs=args.jobs
-    )
-    rule_findings = list(report.findings)
-    parse_errors = list(report.parse_errors)
-
-    if args.changed_only:
-        changed = changed_files()
-        if changed is not None:
-            rule_findings = [
-                f for f in rule_findings if Path(f.path).resolve() in changed
-            ]
-            parse_errors = [
-                f for f in parse_errors if Path(f.path).resolve() in changed
-            ]
+    try:
+        report = analyze_project(
+            root,
+            select=_split_codes(args.select),
+            ignore=_split_codes(args.ignore),
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        print(f"reprolint: {exc}", file=sys.stderr)
+        return 2
+    rule_findings, parse_errors = report.findings, report.parse_errors
 
     if args.update_baseline:
-        # Parse errors are never baselined: a file that does not parse is
-        # always a failure, not accepted debt.
+        # The baseline always covers the whole package, --changed-only or
+        # not.  Parse errors are never baselined: a file that does not
+        # parse is always a failure, not accepted debt.
         target = args.baseline or DEFAULT_BASELINE
         write_baseline(target, rule_findings)
         print(
@@ -293,6 +228,19 @@ def _run_project(args: argparse.Namespace) -> int:
             return 2
         new, accepted, stale = apply_baseline(rule_findings, baseline)
 
+    if args.changed_only:
+        # Judge the whole package against the baseline, then report only
+        # what lies in changed files.
+        changed = changed_files()
+        if changed is not None:
+            def touched(path: str) -> bool:
+                return Path(path).resolve() in changed
+
+            new = [f for f in new if touched(f.path)]
+            accepted = [f for f in accepted if touched(f.path)]
+            parse_errors = [f for f in parse_errors if touched(f.path)]
+            stale = [key for key in stale if touched(key[0])]
+
     reported = [*new, *parse_errors]
     if args.show_baselined:
         reported.extend(accepted)
@@ -307,16 +255,6 @@ def _run_project(args: argparse.Namespace) -> int:
         )
     failed = bool(new or parse_errors or stale)
     return 1 if failed else 0
-
-
-def run(args: argparse.Namespace) -> int:
-    """Execute a parsed lint invocation; returns the process exit code."""
-    if args.list_rules:
-        print(list_rules())
-        return 0
-    if args.project:
-        return _run_project(args)
-    return _run_per_file(args)
 
 
 def main(argv: list[str] | None = None) -> int:

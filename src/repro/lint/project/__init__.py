@@ -1,20 +1,18 @@
-"""reprolint v2: whole-program determinism & concurrency analysis.
+"""Whole-program IR and rules: facts, symbols, call graph, RP010–RP016.
 
-Where :mod:`repro.lint.rules` checks one file at a time, this package builds
-a symbol table and approximate call graph over the entire ``repro`` package
-and runs taint-style dataflow rules on top:
+The engine (:mod:`repro.lint.engine`) parses each file of the package once
+and runs every rule; this package holds what it builds on the way:
 
-* :mod:`repro.lint.project.facts` — per-file picklable IR (extracted in
-  parallel across a process pool);
+* :mod:`repro.lint.project.facts` — the one parse per file: per-file
+  picklable IR plus the per-file rule findings (extracted in parallel
+  across a process pool);
 * :mod:`repro.lint.project.symbols` — cross-module name resolution
   (imports, re-exports, star imports, aliases, base-class method lookup);
 * :mod:`repro.lint.project.callgraph` — caller→callee edges, reachability,
   call-path traces for findings;
 * :mod:`repro.lint.project.rules` — RP010–RP016;
 * :mod:`repro.lint.project.baseline` — the checked-in ratchet that pins
-  accepted findings while blocking new ones;
-* :mod:`repro.lint.project.engine` — the extract → aggregate → check driver
-  behind ``python -m repro lint --project``.
+  accepted findings while blocking new ones.
 """
 
 from repro.lint.project.baseline import (
@@ -24,20 +22,8 @@ from repro.lint.project.baseline import (
     write_baseline,
 )
 from repro.lint.project.callgraph import CallGraph, render_trace
-from repro.lint.project.engine import (
-    ProjectReport,
-    analyze_project,
-    extract_project,
-    module_name_for,
-)
 from repro.lint.project.facts import ModuleFacts, extract_facts
-from repro.lint.project.rules import (
-    PROJECT_RULES,
-    Project,
-    ProjectFinding,
-    ProjectRule,
-    project_rule_by_code,
-)
+from repro.lint.project.rules import PROJECT_RULES, Project, ProjectRule
 from repro.lint.project.symbols import SymbolTable
 
 __all__ = [
@@ -46,17 +32,11 @@ __all__ = [
     "CallGraph",
     "ModuleFacts",
     "Project",
-    "ProjectFinding",
-    "ProjectReport",
     "ProjectRule",
     "SymbolTable",
-    "analyze_project",
     "apply_baseline",
     "extract_facts",
-    "extract_project",
     "load_baseline",
-    "module_name_for",
-    "project_rule_by_code",
     "render_trace",
     "write_baseline",
 ]

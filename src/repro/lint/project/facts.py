@@ -1,14 +1,16 @@
-"""Per-file fact extraction: the picklable IR of the whole-program analyzer.
+"""Per-file fact extraction: the one parse of every linted file.
 
-The project engine never ships ASTs between processes.  Instead, each file is
+The engine never ships ASTs between processes.  Instead, each file is
 parsed exactly once (possibly in a worker process) and reduced to a
-:class:`ModuleFacts` record — a plain-dataclass summary of everything the
-cross-module rules need: definitions, imports, call sites, and the
-rule-specific "interesting events" (ambient RNG construction, wall-clock
-reads, ``id()`` keying, unordered-set iteration, shared-state mutation,
-contract calls, journal emit/read sites, job constructions).  Facts pickle
-cheaply, so the extraction fans out over a process pool and the single-
-process aggregation step stays small.
+:class:`ModuleFacts` record: its ``# reprolint: disable`` map, the
+findings of the per-file AST rules (RP001–RP009, RP017, run on that same
+tree and scoped by :func:`module_parts`), and a plain-dataclass summary of
+everything the cross-module rules need — definitions, imports, call sites,
+and the rule-specific "interesting events" (ambient RNG construction,
+wall-clock reads, ``id()`` keying, unordered-set iteration, shared-state
+mutation, contract calls, journal emit/read sites, job constructions).
+Facts pickle cheaply, so the extraction fans out over a process pool and
+the single-process aggregation step stays small.
 
 Everything here is *approximate by design*: the extractor resolves nothing —
 call strings are recorded as written (``self.run``, ``np.random.default_rng``)
@@ -19,13 +21,17 @@ approximations are documented in ``docs/static-analysis.md``.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.lint.base import dotted_name
-from repro.lint.engine import parse_suppressions
+from repro.lint.base import RNG_TYPE_NAMES, Finding, dotted_name
+from repro.lint.rules import FILE_RULES
 
-#: np.random attributes that name types, not sampling entry points.
-RNG_TYPE_NAMES = frozenset({"Generator", "BitGenerator", "SeedSequence"})
+#: Finding code used for files the parser rejects (mirrors flake8's E999).
+PARSE_ERROR_CODE = "RP999"
+
+_SUPPRESSION = re.compile(r"#\s*reprolint:\s*disable(?:=(?P<codes>[A-Z0-9,\s]+))?")
 
 #: Wall-clock entry points (nondeterministic across runs, unlike monotonic
 #: clocks which only measure durations).
@@ -240,8 +246,49 @@ class ModuleFacts:
     module_set_names: frozenset[str] = frozenset()
     module_ambient_rng: tuple[RNGSite, ...] = ()
     suppressions: dict[int, set[str] | None] = field(default_factory=dict)
-    parse_error: str | None = None
-    parse_error_line: int = 1
+    #: per-file rule findings and parse errors, before suppression
+    findings: list[Finding] = field(default_factory=list)
+
+
+def module_parts(path: Path) -> tuple[str, ...]:
+    """Path parts relative to the ``repro`` package root (or as given).
+
+    The last ``repro`` directory component wins, so both the installed
+    layout and ``src/repro/...`` normalize identically; paths outside the
+    package keep their parts, which lets test fixtures opt into a per-file
+    rule by directory name (``game/``, ``cascade/``, …).
+    """
+    parts = path.parts
+    for i in range(len(parts) - 1, -1, -1):
+        if parts[i] == "repro":
+            return tuple(parts[i + 1:])
+    return tuple(parts)
+
+
+def parse_suppressions(source: str) -> dict[int, set[str] | None]:
+    """Map 1-based line numbers to suppressed codes (``None`` = all codes).
+
+    ``# reprolint: disable=RP001`` silences that code on its line,
+    ``disable=RP001,RP004`` several, and a bare ``disable`` every rule.
+    """
+    out: dict[int, set[str] | None] = {}
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = _SUPPRESSION.search(line)
+        if match is None:
+            continue
+        codes = match.group("codes")
+        if codes is None:
+            out[lineno] = None
+        else:
+            out[lineno] = {c.strip() for c in codes.split(",") if c.strip()}
+    return out
+
+
+def parse_error(path: str, message: str, hint: str, line: int = 1, col: int = 1) -> Finding:
+    """An ``RP999`` finding: a file the analysis could not read or parse."""
+    return Finding(
+        path=path, line=line, col=col, code=PARSE_ERROR_CODE, message=message, hint=hint
+    )
 
 
 _MUTABLE_CTORS = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict"})
@@ -808,19 +855,32 @@ class _Extractor(ast.NodeVisitor):
 
 
 def extract_facts(source: str, module: str, path: str) -> ModuleFacts:
-    """Parse *source* and reduce it to a :class:`ModuleFacts` record.
+    """Parse *source* once: facts for the project rules, findings of the file rules.
 
-    Parse failures never raise: they are recorded on the returned facts
-    (``parse_error`` / ``parse_error_line``) so the engine can surface them
-    as findings and a nonzero exit instead of silently skipping the file.
+    Parse failures never raise: they become an ``RP999`` finding on the
+    returned facts so the engine reports them and exits nonzero instead of
+    silently skipping the file.
     """
     facts = ModuleFacts(module=module, path=path)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        facts.parse_error = exc.msg or "syntax error"
-        facts.parse_error_line = exc.lineno or 1
+        facts.findings.append(
+            parse_error(
+                path,
+                f"file does not parse: {exc.msg or 'syntax error'}",
+                "fix the syntax error; reprolint needs a valid AST for every module",
+                line=exc.lineno or 1,
+                col=exc.offset or 1,
+            )
+        )
         return facts
     facts.suppressions = parse_suppressions(source)
     _Extractor(facts).visit(tree)
+    scope = module_parts(Path(path))
+    for rule_cls in FILE_RULES:
+        if rule_cls.applies_to(scope):
+            rule = rule_cls(path, scope)
+            rule.visit(tree)
+            facts.findings.extend(rule.findings)
     return facts

@@ -1,6 +1,7 @@
 """The RP010–RP016 whole-program rule catalogue.
 
-Unlike the per-file rules (RP001–RP009), these run over a :class:`Project`
+Unlike the per-file AST rules (:mod:`repro.lint.rules`), these run over a
+:class:`Project`
 — symbol table plus approximate call graph — so they can see an ambient
 ``default_rng()`` three call hops below a job, an unpicklable closure
 captured into a process-backend payload, or a journal reader whose expected
@@ -10,7 +11,8 @@ entry→site call path) when the evidence is cross-module.
 The dataflow model is deliberately over-approximate (unknown-receiver calls
 fan out to every same-named method; see ``docs/static-analysis.md`` for the
 full list of approximations).  The baseline ratchet and line-scoped
-suppressions absorb accepted findings, so the rules can stay sound-biased.
+suppressions absorb accepted findings, so the rules can stay sound-biased;
+the engine applies suppressions to every finding, so rules never read them.
 """
 
 from __future__ import annotations
@@ -35,25 +37,6 @@ KEY_BUILDER_NAMES = frozenset(
 #: Dataclass field annotations that cannot (or must not) cross a process
 #: boundary inside a job payload.
 UNPICKLABLE_ANNOTATIONS = ("Generator", "Lock", "RLock", "IO", "TextIO", "BinaryIO")
-
-
-@dataclass(frozen=True, order=True)
-class ProjectFinding(Finding):
-    """A :class:`Finding` with an optional cross-module call-path trace."""
-
-    trace: str = ""
-
-    def as_dict(self) -> dict[str, object]:
-        out = super().as_dict()
-        if self.trace:
-            out["trace"] = self.trace
-        return out
-
-    def render(self) -> str:
-        base = super().render()
-        if self.trace:
-            return f"{base}\n    via: {self.trace}"
-        return base
 
 
 @dataclass
@@ -115,12 +98,6 @@ class Project:
         """Union of job-run and selector entries."""
         return sorted({*self.job_run_entries(), *self.selector_entries()})
 
-    def suppressed(self, facts: ModuleFacts, line: int, code: str) -> bool:
-        if line not in facts.suppressions:
-            return False
-        codes = facts.suppressions[line]
-        return codes is None or code in codes
-
 
 class ProjectRule:
     """Base class: metadata + the ``check`` hook over a :class:`Project`."""
@@ -130,7 +107,7 @@ class ProjectRule:
     rationale: ClassVar[str] = ""
     hint: ClassVar[str] = ""
 
-    def check(self, project: Project) -> list[ProjectFinding]:
+    def check(self, project: Project) -> list[Finding]:
         raise NotImplementedError
 
     def finding(
@@ -140,8 +117,8 @@ class ProjectRule:
         message: str,
         trace: str = "",
         col: int = 1,
-    ) -> ProjectFinding:
-        return ProjectFinding(
+    ) -> Finding:
+        return Finding(
             path=facts.path,
             line=line,
             col=col,
@@ -178,8 +155,8 @@ class RngProvenance(ProjectRule):
         "'# reprolint: disable=RP010' and a comment citing the decision"
     )
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         entries = project.determinism_entries()
         parents = project.callgraph.reachable_from(entries)
         for facts, fn, symbol_id in project.symbols.iter_functions():
@@ -189,8 +166,6 @@ class RngProvenance(ProjectRule):
                 project.symbols, project.callgraph.trace(parents, symbol_id)
             )
             for site in fn.ambient_rng:
-                if project.suppressed(facts, site.line, self.code):
-                    continue
                 findings.append(
                     self.finding(
                         facts,
@@ -202,8 +177,6 @@ class RngProvenance(ProjectRule):
                 )
         for facts in project.modules.values():
             for site in facts.module_ambient_rng:
-                if project.suppressed(facts, site.line, self.code):
-                    continue
                 findings.append(
                     self.finding(
                         facts,
@@ -263,13 +236,11 @@ class NondeterminismSources(ProjectRule):
             stack.extend(reverse.get(current, ()))
         return forward | backward
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         sensitive = self._sensitive_ids(project)
         for facts, fn, symbol_id in project.symbols.iter_functions():
             for id_site in fn.id_keys:
-                if project.suppressed(facts, id_site.line, self.code):
-                    continue
                 findings.append(
                     self.finding(
                         facts,
@@ -281,8 +252,6 @@ class NondeterminismSources(ProjectRule):
             if symbol_id not in sensitive:
                 continue
             for clock in fn.wall_clock:
-                if project.suppressed(facts, clock.line, self.code):
-                    continue
                 findings.append(
                     self.finding(
                         facts,
@@ -292,8 +261,6 @@ class NondeterminismSources(ProjectRule):
                     )
                 )
             for site in fn.set_iters:
-                if project.suppressed(facts, site.line, self.code):
-                    continue
                 findings.append(
                     self.finding(
                         facts,
@@ -335,13 +302,11 @@ class PickleSafety(ProjectRule):
         "generator": "a live numpy Generator",
     }
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         for facts, fn, _symbol_id in project.symbols.iter_functions():
             for ctor in fn.job_ctors:
                 for arg in ctor.args:
-                    if project.suppressed(facts, arg.line, self.code):
-                        continue
                     what = self._ARG_MESSAGES.get(arg.kind, arg.kind)
                     findings.append(
                         self.finding(
@@ -358,8 +323,6 @@ class PickleSafety(ProjectRule):
                     continue
                 for field_name, annotation in cls.field_annotations.items():
                     if any(tok in annotation for tok in UNPICKLABLE_ANNOTATIONS):
-                        if project.suppressed(facts, cls.lineno, self.code):
-                            continue
                         findings.append(
                             self.finding(
                                 facts,
@@ -395,8 +358,8 @@ class SharedStateMutation(ProjectRule):
         "need no lock"
     )
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         entries = project.job_run_entries()
         parents = project.callgraph.reachable_from(entries)
         for facts, fn, symbol_id in project.symbols.iter_functions():
@@ -407,8 +370,6 @@ class SharedStateMutation(ProjectRule):
             )
             for site in fn.mutations:
                 if site.locked:
-                    continue
-                if project.suppressed(facts, site.line, self.code):
                     continue
                 findings.append(
                     self.finding(
@@ -426,9 +387,8 @@ class SharedStateMutation(ProjectRule):
 class ContractCoverage(ProjectRule):
     """RP014: sibling implementations carry the same runtime contracts.
 
-    When one overload path — one subclass override, or the python half of a
-    python/numpy kernel pair — validates with ``REPRO_CONTRACTS`` checks
-    and its sibling does not, enabling contracts in CI only half-verifies
+    When one overload path — one subclass override — validates with
+    ``REPRO_CONTRACTS`` checks and its sibling does not, enabling contracts in CI only half-verifies
     the invariant: the unchecked path can corrupt the payoff tensor while
     the matrix stays green.
     """
@@ -444,8 +404,6 @@ class ContractCoverage(ProjectRule):
         "add the same contracts.check_* call (behind contracts.enabled()) "
         "to the sibling path, or hoist the check into the shared caller"
     )
-
-    _KERNEL_SUFFIXES: ClassVar[tuple[str, str]] = ("_python", "_numpy")
 
     @staticmethod
     def _is_contract_call(project: Project, module: str, callee: str) -> bool:
@@ -498,8 +456,8 @@ class ContractCoverage(ProjectRule):
         )
 
     def _families(self, project: Project) -> list[list[str]]:
+        """Same-named overrides below a common analyzed base class."""
         families: list[list[str]] = []
-        # (a) same-named overrides below a common analyzed base class
         for facts in project.modules.values():
             for name, cls in facts.classes.items():
                 base_id = f"{facts.module}:{name}"
@@ -518,21 +476,10 @@ class ContractCoverage(ProjectRule):
                             members.append(f"{sub_module}:{qual}")
                     if len(members) > 1:
                         families.append(members)
-        # (b) python/numpy kernel pairs in one module
-        for facts in project.modules.values():
-            by_stem: dict[str, list[str]] = {}
-            for qual, fn in facts.functions.items():
-                for suffix in self._KERNEL_SUFFIXES:
-                    if fn.name.endswith(suffix):
-                        stem = fn.name[: -len(suffix)]
-                        by_stem.setdefault(stem, []).append(
-                            f"{facts.module}:{qual}"
-                        )
-            families.extend(m for m in by_stem.values() if len(m) > 1)
         return families
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         reported: set[str] = set()
         for family in self._families(project):
             concrete = [m for m in family if self._is_concrete(project, m)]
@@ -549,8 +496,6 @@ class ContractCoverage(ProjectRule):
                 module = member.partition(":")[0]
                 facts = project.modules[module]
                 if fn is None:
-                    continue
-                if project.suppressed(facts, fn.lineno, self.code):
                     continue
                 reported.add(member)
                 findings.append(
@@ -587,7 +532,7 @@ class JournalSchemaConsistency(ProjectRule):
         "'# reprolint: disable=RP015' at the reader"
     )
 
-    def check(self, project: Project) -> list[ProjectFinding]:
+    def check(self, project: Project) -> list[Finding]:
         writers: dict[str, set[str]] = {}
         open_events: set[str] = set()
         writer_sites: dict[str, list[str]] = {}
@@ -601,7 +546,7 @@ class JournalSchemaConsistency(ProjectRule):
                     open_events.add(emit.event)
         if not writers:
             return []
-        findings: list[ProjectFinding] = []
+        findings: list[Finding] = []
         for facts, fn, _symbol_id in project.symbols.iter_functions():
             for read in fn.reads:
                 if read.event not in writers:
@@ -611,8 +556,6 @@ class JournalSchemaConsistency(ProjectRule):
                 known = writers[read.event] | JOURNAL_ENVELOPE_KEYS
                 for key, line in read.keys:
                     if key in known:
-                        continue
-                    if project.suppressed(facts, line, self.code):
                         continue
                     sites = ", ".join(sorted(set(writer_sites[read.event]))[:3])
                     findings.append(
@@ -654,16 +597,14 @@ class GraphPayloadRefs(ProjectRule):
         "in-memory graph carries a narrow '# reprolint: disable=RP016'"
     )
 
-    def check(self, project: Project) -> list[ProjectFinding]:
-        findings: list[ProjectFinding] = []
+    def check(self, project: Project) -> list[Finding]:
+        findings: list[Finding] = []
         for facts in project.modules.values():
             for name, cls in facts.classes.items():
                 if not name.endswith("Job"):
                     continue
                 for field_name, annotation in cls.field_annotations.items():
                     if "DiGraph" not in annotation or "GraphRef" in annotation:
-                        continue
-                    if project.suppressed(facts, cls.lineno, self.code):
                         continue
                     findings.append(
                         self.finding(
@@ -689,13 +630,3 @@ PROJECT_RULES: tuple[type[ProjectRule], ...] = (
     GraphPayloadRefs,
 )
 
-
-def project_rule_by_code(code: str) -> type[ProjectRule]:
-    """Look up a project rule class by its ``RPxxx`` code."""
-    for rule in PROJECT_RULES:
-        if rule.code == code:
-            return rule
-    raise KeyError(
-        f"unknown project rule code {code!r}; known: "
-        f"{', '.join(r.code for r in PROJECT_RULES)}"
-    )

@@ -1,9 +1,11 @@
-"""The RP001–RP009 rule catalogue.
+"""The per-file AST rules: RP001–RP009 and RP017.
 
 Each rule is scoped to the packages where its invariant is load-bearing
 (see :meth:`~repro.lint.base.Rule.applies_to`); scoping is by path parts so
 test fixtures can opt into a rule simply by living under a directory with
-the right name (``game/``, ``cascade/``, …).
+the right name (``game/``, ``cascade/``, …).  The fact pass
+(:func:`repro.lint.project.facts.extract_facts`) runs them on the one tree
+it parses per file.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import ast
 from typing import ClassVar
 
 from repro.lint.base import (
+    RNG_TYPE_NAMES,
     Rule,
     annotation_mentions,
     dotted_name,
@@ -20,10 +23,6 @@ from repro.lint.base import (
     module_matches,
     root_name,
 )
-
-#: np.random attributes that name types, not sampling entry points — using
-#: them (annotations, isinstance checks) is exactly the discipline RP001 wants.
-_RNG_TYPE_NAMES = frozenset({"Generator", "BitGenerator", "SeedSequence"})
 
 
 class NoGlobalRandom(Rule):
@@ -62,7 +61,7 @@ class NoGlobalRandom(Rule):
             self.report(node, "import from the stdlib 'random' module")
         elif mod == "numpy.random" or mod.startswith("numpy.random."):
             names = {alias.name for alias in node.names}
-            if not names <= _RNG_TYPE_NAMES:
+            if not names <= RNG_TYPE_NAMES:
                 self.report(node, "import of numpy.random entry points")
         self.generic_visit(node)
 
@@ -73,14 +72,14 @@ class NoGlobalRandom(Rule):
             if (
                 len(parts) == 2
                 and parts[0] == "random"
-                and parts[1] not in _RNG_TYPE_NAMES
+                and parts[1] not in RNG_TYPE_NAMES
             ):
                 self.report(node, f"call to global RNG {name!r}")
             elif (
                 len(parts) == 3
                 and parts[0] in ("np", "numpy")
                 and parts[1] == "random"
-                and parts[2] not in _RNG_TYPE_NAMES
+                and parts[2] not in RNG_TYPE_NAMES
             ):
                 self.report(node, f"call to global RNG {name!r}")
         self.generic_visit(node)
@@ -735,7 +734,7 @@ class NoWholeGraphInvalidation(Rule):
         self.generic_visit(node)
 
 
-ALL_RULES: tuple[type[Rule], ...] = (
+FILE_RULES: tuple[type[Rule], ...] = (
     NoGlobalRandom,
     NoFloatEquality,
     NoGraphMutation,
@@ -747,12 +746,3 @@ ALL_RULES: tuple[type[Rule], ...] = (
     UseSpanTiming,
     NoWholeGraphInvalidation,
 )
-
-
-def rule_by_code(code: str) -> type[Rule]:
-    """Look up a rule class by its ``RPxxx`` code."""
-    for rule in ALL_RULES:
-        if rule.code == code:
-            return rule
-    raise KeyError(f"unknown rule code {code!r}; known: "
-                   f"{', '.join(r.code for r in ALL_RULES)}")

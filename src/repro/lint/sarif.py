@@ -56,7 +56,7 @@ def _rule_descriptor(rule: RuleLike) -> dict[str, object]:
 
 def _result(finding: Finding) -> dict[str, object]:
     message = finding.message
-    trace = getattr(finding, "trace", "")
+    trace = finding.trace
     if trace:
         message = f"{message} [call path: {trace}]"
     result: dict[str, object] = {
@@ -91,8 +91,6 @@ def _result(finding: Finding) -> dict[str, object]:
 def sarif_document(
     findings: Sequence[Finding],
     rules: Sequence[RuleLike],
-    tool_name: str = "reprolint",
-    tool_version: str = "2.0.0",
 ) -> dict[str, object]:
     """The SARIF log as a plain dict (see :func:`format_sarif` for text)."""
     used_codes = {f.code for f in findings}
@@ -115,8 +113,8 @@ def sarif_document(
             {
                 "tool": {
                     "driver": {
-                        "name": tool_name,
-                        "version": tool_version,
+                        "name": "reprolint",
+                        "version": "2.0.0",
                         "informationUri": _TOOL_URI,
                         "rules": descriptors,
                     }
@@ -131,9 +129,6 @@ def sarif_document(
 def format_sarif(
     findings: Sequence[Finding],
     rules: Sequence[RuleLike],
-    tool_name: str = "reprolint",
 ) -> str:
     """Serialized SARIF 2.1.0 log for ``--format sarif``."""
-    return json.dumps(
-        sarif_document(findings, rules, tool_name=tool_name), indent=2
-    )
+    return json.dumps(sarif_document(findings, rules), indent=2)

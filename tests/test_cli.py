@@ -90,6 +90,14 @@ class TestSeedsIncremental:
                 "--delta", self._delta_file(tmp_path),
             ])
 
+    @pytest.mark.parametrize(
+        ("k", "message"),
+        [("35", "budget k=35 exceeds the graph's 34 nodes"), ("0", "k must be positive")],
+    )
+    def test_bad_budget_exits_two(self, karate_file, capsys, k, message):
+        assert main(["seeds", karate_file, "--incremental", "--k", k]) == 2
+        assert message in capsys.readouterr().err
+
     def test_kill_switch_wins_over_flag(
         self, karate_file, tmp_path, capsys, monkeypatch
     ):

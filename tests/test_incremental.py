@@ -14,7 +14,7 @@ from repro.cascade.snapshots import (
     stable_edge_draws,
 )
 from repro.cascade.wc import WeightedCascade
-from repro.errors import CascadeError, GraphError
+from repro.errors import CascadeError, GraphError, SeedSelectionError
 from repro.graphs.delta import EdgeDelta, merge_delta
 from repro.graphs.generators import erdos_renyi
 from repro.incremental import (
@@ -307,6 +307,15 @@ class TestIncrementalSession:
             IncrementalSession(graph, MODEL, num_snapshots=0)
         with pytest.raises(GraphError, match="recompute_fraction"):
             IncrementalSession(graph, MODEL, recompute_fraction=0.0)
+
+    def test_budget_validated_like_cold_selection(self):
+        graph, _ = graph_and_delta(seed=77)
+        session = IncrementalSession(graph, MODEL, num_snapshots=2, pool_seed=5)
+        for call in (session.select, session.reselect):
+            with pytest.raises(SeedSelectionError, match="exceeds the graph"):
+                call(graph.num_nodes + 1)
+            with pytest.raises(ValueError, match="k must be positive"):
+                call(0)
 
     def test_pool_seed_pinned(self):
         graph, _ = graph_and_delta(seed=76)

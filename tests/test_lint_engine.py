@@ -7,15 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import format_findings, format_json, lint_paths, lint_source
 from repro.lint.base import Finding
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import (
     JSON_SCHEMA_VERSION,
-    PARSE_ERROR_CODE,
-    module_parts,
-    parse_suppressions,
+    analyze_project,
+    format_findings,
+    format_json,
+    lint_source,
 )
+from repro.lint.project.facts import PARSE_ERROR_CODE, module_parts, parse_suppressions
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -102,17 +103,29 @@ class TestLintPaths:
         game.mkdir()
         (game / "bad.py").write_text("def f(x):\n    return x == 0.0\n")
         (tmp_path / "free.py").write_text("def f(x):\n    return x == 0.0\n")
-        found = lint_paths([tmp_path], select=["RP002"])
+        found = analyze_project(tmp_path, select=["RP002"], jobs=1).findings
         assert len(found) == 1
         assert found[0].path.endswith("bad.py")
 
-    def test_single_file(self, tmp_path):
+    def test_single_file(self, tmp_path, capsys):
+        """A file is not a package root: the one CLI path refuses it."""
         target = tmp_path / "core"
         target.mkdir()
         snippet = target / "x.py"
         snippet.write_text("def f(x):\n    return x\n")
-        found = lint_paths([snippet], select=["RP005"])
-        assert [f.code for f in found] == ["RP005"]
+        assert lint_main([str(snippet)]) == 2
+        assert "one package directory" in capsys.readouterr().err
+
+    def test_several_roots_are_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([str(tmp_path), str(tmp_path)])
+        assert excinfo.value.code == 2
+
+    def test_project_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(["--project", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --project" in capsys.readouterr().err
 
 
 class TestOutputFormats:
@@ -188,14 +201,14 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RP001", "RP002", "RP003", "RP004", "RP005"):
-            assert code in out
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("RP")]
+        assert listed == [f"RP{n:03d}" for n in range(1, 18)]
 
 
 class TestSelfCheck:
     def test_src_tree_is_clean(self):
-        """The library must pass its own linter (the PR's acceptance gate)."""
-        findings = lint_paths([SRC])
+        """The library passes every rule of its own linter (the baseline is empty)."""
+        findings = analyze_project(SRC / "repro", jobs=2).all_findings
         assert findings == [], format_findings(findings)
 
     def test_module_entry_point(self):

@@ -1,24 +1,19 @@
-"""Engine, CLI, baseline-ratchet, and SARIF tests for the project analyzer."""
+"""Engine, CLI, baseline-ratchet, and SARIF tests for the one reprolint engine."""
 
+import ast
 import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
+from repro.lint.base import Finding
 from repro.lint.cli import changed_files
 from repro.lint.cli import main as lint_main
-from repro.lint.engine import PARSE_ERROR_CODE
-from repro.lint.project import (
-    analyze_project,
-    apply_baseline,
-    load_baseline,
-    module_name_for,
-    write_baseline,
-)
+from repro.lint.engine import RULES, analyze_project, module_name_for
+from repro.lint.project import apply_baseline, load_baseline, write_baseline
 from repro.lint.project.baseline import BASELINE_VERSION
-from repro.lint.project.rules import PROJECT_RULES, ProjectFinding
-from repro.lint.rules import ALL_RULES
+from repro.lint.project.facts import PARSE_ERROR_CODE
 from repro.lint.sarif import SARIF_VERSION, sarif_document
 
 
@@ -40,6 +35,9 @@ VIOLATION = (
     "    def run(self, generator):\n"
     "        return default_rng()\n"
 )
+
+#: A per-file rule violation (RP002 float equality, scoped to core/).
+FILE_VIOLATION = "def f(x: float) -> bool:\n    return x == 0.0\n"
 
 
 class TestModuleNameFor:
@@ -111,10 +109,49 @@ class TestAnalyzeProject:
         assert analyze_project(root, jobs=1, select=["RP010"]).findings
         assert not analyze_project(root, jobs=1, ignore=["RP010"]).findings
 
+    def test_file_and_project_rules_report_together(self, tmp_path):
+        root = make_package(
+            tmp_path, {"bad.py": VIOLATION, "core/calc.py": FILE_VIOLATION}
+        )
+        report = analyze_project(root, jobs=1)
+        assert [f.code for f in report.findings] == ["RP010", "RP002"]
+        only_file = analyze_project(root, jobs=1, select=["RP002"])
+        assert [f.code for f in only_file.findings] == ["RP002"]
+
+    def test_one_suppression_filter_for_every_rule(self, tmp_path):
+        root = make_package(
+            tmp_path,
+            {
+                "bad.py": VIOLATION.replace(
+                    "default_rng()", "default_rng()  # reprolint: disable=RP010"
+                ),
+                "core/calc.py": FILE_VIOLATION.replace(
+                    "0.0", "0.0  # reprolint: disable=RP002"
+                ),
+            },
+        )
+        assert analyze_project(root, jobs=1).findings == []
+
+    def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
+        root = make_package(
+            tmp_path, {"bad.py": VIOLATION, "core/calc.py": FILE_VIOLATION}
+        )
+        calls = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            calls.append(kwargs.get("filename"))
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        report = analyze_project(root, jobs=1)
+        assert len(calls) == report.modules_analyzed == 4
+        assert len(set(calls)) == len(calls)
+
 
 class TestBaselineRatchet:
-    def _finding(self, message: str) -> ProjectFinding:
-        return ProjectFinding(
+    def _finding(self, message: str) -> Finding:
+        return Finding(
             path="src/x.py", line=3, col=1, code="RP010", message=message, hint=""
         )
 
@@ -169,9 +206,7 @@ class TestSarif:
             tmp_path, {"bad.py": VIOLATION, "broken.py": "def broken(:\n"}
         )
         report = analyze_project(root, jobs=1)
-        return sarif_document(
-            report.all_findings, (*ALL_RULES, *PROJECT_RULES)
-        )
+        return sarif_document(report.all_findings, RULES)
 
     def test_structure_is_valid_2_1_0(self, tmp_path):
         document = self._document(tmp_path)
@@ -209,7 +244,7 @@ class TestSarif:
             },
         )
         report = analyze_project(root, jobs=1)
-        document = sarif_document(report.all_findings, PROJECT_RULES)
+        document = sarif_document(report.all_findings, RULES)
         (result,) = document["runs"][0]["results"]
         assert "SpreadJob.run" in result["properties"]["trace"]
         assert "call path" in result["message"]["text"]
@@ -222,28 +257,28 @@ class TestSarif:
 class TestProjectCli:
     def test_clean_package_exits_zero(self, tmp_path, capsys):
         root = make_package(tmp_path, {"ok.py": "def fn():\n    return 1\n"})
-        assert lint_main(["--project", str(root)]) == 0
+        assert lint_main([str(root)]) == 0
         assert "no findings" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         root = make_package(tmp_path, {"bad.py": VIOLATION})
-        assert lint_main(["--project", str(root)]) == 1
+        assert lint_main([str(root)]) == 1
         assert "RP010" in capsys.readouterr().out
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         root = make_package(tmp_path, {"broken.py": "def broken(:\n"})
-        assert lint_main(["--project", str(root)]) == 1
+        assert lint_main([str(root)]) == 1
         assert PARSE_ERROR_CODE in capsys.readouterr().out
 
     def test_unknown_code_is_usage_error(self, tmp_path, capsys):
         root = make_package(tmp_path, {"ok.py": "x = 1\n"})
-        assert lint_main(["--project", "--select", "RP777", str(root)]) == 2
+        assert lint_main(["--select", "RP777", str(root)]) == 2
         assert "unknown rule code" in capsys.readouterr().err
 
     def test_baseline_gate_lifecycle(self, tmp_path, capsys):
         root = make_package(tmp_path, {"bad.py": VIOLATION})
         baseline = tmp_path / "baseline.json"
-        args = ["--project", "--baseline", str(baseline), str(root)]
+        args = ["--baseline", str(baseline), str(root)]
         # 1. unbaselined violation fails
         assert lint_main(args) == 1
         # 2. snapshot it
@@ -267,7 +302,7 @@ class TestProjectCli:
     def test_show_baselined(self, tmp_path, capsys):
         root = make_package(tmp_path, {"bad.py": VIOLATION})
         baseline = tmp_path / "baseline.json"
-        args = ["--project", "--baseline", str(baseline), str(root)]
+        args = ["--baseline", str(baseline), str(root)]
         lint_main([*args, "--update-baseline"])
         capsys.readouterr()
         assert lint_main([*args, "--show-baselined"]) == 0
@@ -275,17 +310,25 @@ class TestProjectCli:
 
     def test_sarif_output(self, tmp_path, capsys):
         root = make_package(tmp_path, {"bad.py": VIOLATION})
-        assert lint_main(["--project", "--format", "sarif", str(root)]) == 1
+        assert lint_main(["--format", "sarif", str(root)]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["version"] == SARIF_VERSION
 
     def test_parse_errors_never_baselined(self, tmp_path, capsys):
         root = make_package(tmp_path, {"broken.py": "def broken(:\n"})
         baseline = tmp_path / "baseline.json"
-        args = ["--project", "--baseline", str(baseline), str(root)]
+        args = ["--baseline", str(baseline), str(root)]
         assert lint_main([*args, "--update-baseline"]) == 1
         assert json.loads(baseline.read_text(encoding="utf-8"))["entries"] == []
         assert lint_main(args) == 1
+
+    def test_file_rule_findings_are_baselined(self, tmp_path, capsys):
+        root = make_package(tmp_path, {"core/calc.py": FILE_VIOLATION})
+        baseline = tmp_path / "baseline.json"
+        args = ["--baseline", str(baseline), str(root)]
+        assert lint_main(args) == 1
+        assert lint_main([*args, "--update-baseline"]) == 0
+        assert lint_main(args) == 0
 
     def test_list_rules_includes_project_catalogue(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -295,6 +338,8 @@ class TestProjectCli:
 
 
 class TestPerFileCli:
+    """Per-file diagnostics (RP999) through the one CLI path."""
+
     def test_unreadable_file_exits_one_with_diagnostic(self, tmp_path, capsys):
         target = tmp_path / "odd.py"
         target.mkdir()  # directory discovered as a .py path
@@ -354,7 +399,6 @@ class TestChangedOnly:
         monkeypatch.setattr(
             "repro.lint.cli.changed_files", lambda cwd=None: set()
         )
-        assert lint_main(["--project", "--changed-only", str(root)]) == 0
         assert lint_main(["--changed-only", str(root)]) == 0
 
     def test_cli_keeps_findings_in_changed_files(
@@ -365,4 +409,20 @@ class TestChangedOnly:
             "repro.lint.cli.changed_files",
             lambda cwd=None: {(root / "bad.py").resolve()},
         )
-        assert lint_main(["--project", "--changed-only", str(root)]) == 1
+        assert lint_main(["--changed-only", str(root)]) == 1
+
+    def test_baseline_judged_on_whole_package(self, tmp_path, capsys, monkeypatch):
+        root = make_package(tmp_path, {"a.py": VIOLATION, "b.py": VIOLATION})
+        baseline = tmp_path / "baseline.json"
+        args = ["--baseline", str(baseline), str(root)]
+        assert lint_main([*args, "--update-baseline"]) == 0
+        monkeypatch.setattr(
+            "repro.lint.cli.changed_files",
+            lambda cwd=None: {(root / "a.py").resolve()},
+        )
+        # b.py's accepted finding is neither stale nor dropped from the
+        # baseline when only a.py changed.
+        assert lint_main([*args, "--changed-only"]) == 0
+        assert lint_main([*args, "--changed-only", "--update-baseline"]) == 0
+        assert len(json.loads(baseline.read_text(encoding="utf-8"))["entries"]) == 2
+        assert "stale" not in capsys.readouterr().err

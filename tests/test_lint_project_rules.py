@@ -1,29 +1,33 @@
-"""True-positive and true-negative fixtures for each project rule RP010-RP016."""
+"""True-positive and true-negative fixtures for each project rule RP010-RP016.
 
-from repro.lint.project.callgraph import CallGraph
-from repro.lint.project.facts import extract_facts
+Each fixture runs through the engine's check step, so suppressions and rule
+selection apply exactly as in ``repro lint``.
+"""
+
+from repro.lint import engine
+from repro.lint.base import Finding
+from repro.lint.project.facts import ModuleFacts, extract_facts
 from repro.lint.project.rules import (
     ContractCoverage,
     GraphPayloadRefs,
     JournalSchemaConsistency,
     NondeterminismSources,
     PickleSafety,
-    Project,
+    ProjectRule,
     RngProvenance,
     SharedStateMutation,
 )
-from repro.lint.project.symbols import SymbolTable
 
 
-def build_project(sources: dict[str, str]) -> Project:
-    modules = {
+def build_project(sources: dict[str, str]) -> dict[str, ModuleFacts]:
+    return {
         mod: extract_facts(src, mod, f"{mod.replace('.', '/')}.py")
         for mod, src in sources.items()
     }
-    symbols = SymbolTable(modules)
-    return Project(
-        modules=modules, symbols=symbols, callgraph=CallGraph(symbols)
-    )
+
+
+def run(modules: dict[str, ModuleFacts], rule: type[ProjectRule]) -> list[Finding]:
+    return engine.check(modules, frozenset({rule.code}))
 
 
 class TestRP010RngProvenance:
@@ -42,7 +46,7 @@ class TestRP010RngProvenance:
                 ),
             }
         )
-        findings = RngProvenance().check(project)
+        findings = run(project, RngProvenance)
         assert len(findings) == 1
         assert findings[0].code == "RP010"
         assert "helper" in findings[0].message
@@ -59,7 +63,7 @@ class TestRP010RngProvenance:
                 )
             }
         )
-        assert RngProvenance().check(project) == []
+        assert run(project, RngProvenance) == []
 
     def test_unreachable_ambient_rng_is_clean(self):
         project = build_project(
@@ -72,13 +76,13 @@ class TestRP010RngProvenance:
                 ),
             }
         )
-        assert RngProvenance().check(project) == []
+        assert run(project, RngProvenance) == []
 
     def test_module_level_ambient_rng_flagged(self):
         project = build_project(
             {"pkg.mod": "import numpy as np\n_R = np.random.default_rng()\n"}
         )
-        findings = RngProvenance().check(project)
+        findings = run(project, RngProvenance)
         assert len(findings) == 1
         assert "import time" in findings[0].message
 
@@ -92,7 +96,7 @@ class TestRP010RngProvenance:
                 )
             }
         )
-        assert RngProvenance().check(project) == []
+        assert run(project, RngProvenance) == []
 
 
 class TestRP011NondeterminismSources:
@@ -106,7 +110,7 @@ class TestRP011NondeterminismSources:
                 )
             }
         )
-        findings = NondeterminismSources().check(project)
+        findings = run(project, NondeterminismSources)
         assert [f.code for f in findings] == ["RP011"]
         assert "time.time" in findings[0].message
 
@@ -120,7 +124,7 @@ class TestRP011NondeterminismSources:
                 )
             }
         )
-        assert NondeterminismSources().check(project) == []
+        assert run(project, NondeterminismSources) == []
 
     def test_id_key_flagged_anywhere(self):
         project = build_project(
@@ -131,7 +135,7 @@ class TestRP011NondeterminismSources:
                 )
             }
         )
-        findings = NondeterminismSources().check(project)
+        findings = run(project, NondeterminismSources)
         assert len(findings) == 1
         assert "id(...)" in findings[0].message
 
@@ -139,7 +143,7 @@ class TestRP011NondeterminismSources:
         project = build_project(
             {"pkg.mod": "def label(obj):\n    return id(obj)\n"}
         )
-        assert NondeterminismSources().check(project) == []
+        assert run(project, NondeterminismSources) == []
 
     def test_set_iteration_on_job_path(self):
         project = build_project(
@@ -153,7 +157,7 @@ class TestRP011NondeterminismSources:
                 ),
             }
         )
-        findings = NondeterminismSources().check(project)
+        findings = run(project, NondeterminismSources)
         assert len(findings) == 1
         assert "unordered set" in findings[0].message
 
@@ -169,7 +173,7 @@ class TestRP011NondeterminismSources:
                 ),
             }
         )
-        assert NondeterminismSources().check(project) == []
+        assert run(project, NondeterminismSources) == []
 
 
 class TestRP012PickleSafety:
@@ -185,7 +189,7 @@ class TestRP012PickleSafety:
                 )
             }
         )
-        findings = PickleSafety().check(project)
+        findings = run(project, PickleSafety)
         assert len(findings) == 1
         assert "lambda" in findings[0].message
 
@@ -200,7 +204,7 @@ class TestRP012PickleSafety:
                 )
             }
         )
-        findings = PickleSafety().check(project)
+        findings = run(project, PickleSafety)
         assert len(findings) == 1
         assert "closure" in findings[0].message
 
@@ -214,7 +218,7 @@ class TestRP012PickleSafety:
                 )
             }
         )
-        findings = PickleSafety().check(project)
+        findings = run(project, PickleSafety)
         assert len(findings) == 1
         assert "Generator" in findings[0].message
 
@@ -229,7 +233,7 @@ class TestRP012PickleSafety:
                 )
             }
         )
-        assert PickleSafety().check(project) == []
+        assert run(project, PickleSafety) == []
 
     def test_unpicklable_field_annotation(self):
         project = build_project(
@@ -242,7 +246,7 @@ class TestRP012PickleSafety:
                 )
             }
         )
-        findings = PickleSafety().check(project)
+        findings = run(project, PickleSafety)
         assert len(findings) == 1
         assert "rng" in findings[0].message
 
@@ -258,7 +262,7 @@ class TestRP012PickleSafety:
                 )
             }
         )
-        assert PickleSafety().check(project) == []
+        assert run(project, PickleSafety) == []
 
 
 class TestRP013SharedStateMutation:
@@ -275,7 +279,7 @@ class TestRP013SharedStateMutation:
                 )
             }
         )
-        findings = SharedStateMutation().check(project)
+        findings = run(project, SharedStateMutation)
         assert len(findings) == 1
         assert "_CACHE" in findings[0].message
         assert "SpreadJob.run" in findings[0].trace
@@ -296,7 +300,7 @@ class TestRP013SharedStateMutation:
                 )
             }
         )
-        assert SharedStateMutation().check(project) == []
+        assert run(project, SharedStateMutation) == []
 
     def test_write_off_job_paths_is_clean(self):
         project = build_project(
@@ -308,7 +312,7 @@ class TestRP013SharedStateMutation:
                 )
             }
         )
-        assert SharedStateMutation().check(project) == []
+        assert run(project, SharedStateMutation) == []
 
     def test_mutator_method_on_shared_list(self):
         project = build_project(
@@ -321,7 +325,7 @@ class TestRP013SharedStateMutation:
                 )
             }
         )
-        findings = SharedStateMutation().check(project)
+        findings = run(project, SharedStateMutation)
         assert len(findings) == 1
         assert "_SEEN" in findings[0].message
 
@@ -356,7 +360,7 @@ class TestRP014ContractCoverage:
                 ),
             }
         )
-        findings = ContractCoverage().check(project)
+        findings = run(project, ContractCoverage)
         assert len(findings) == 1
         assert "Two.compute" in findings[0].message
         assert "pkg.one:One.compute" in findings[0].message
@@ -388,7 +392,7 @@ class TestRP014ContractCoverage:
                 ),
             }
         )
-        assert ContractCoverage().check(project) == []
+        assert run(project, ContractCoverage) == []
 
     def test_abstract_and_delegating_members_skipped(self):
         project = build_project(
@@ -419,7 +423,7 @@ class TestRP014ContractCoverage:
                 ),
             }
         )
-        findings = ContractCoverage().check(project)
+        findings = run(project, ContractCoverage)
         assert len(findings) == 1
         assert "Two.compute" in findings[0].message
 
@@ -450,25 +454,7 @@ class TestRP014ContractCoverage:
                 ),
             }
         )
-        assert ContractCoverage().check(project) == []
-
-    def test_kernel_suffix_pair(self):
-        project = build_project(
-            {
-                "pkg.contracts": CONTRACTS_MODULE,
-                "pkg.kernels": (
-                    "from pkg.contracts import check_shape\n"
-                    "def spread_python(graph):\n"
-                    "    check_shape(graph)\n"
-                    "    return 1\n"
-                    "def spread_numpy(graph):\n"
-                    "    return 2\n"
-                ),
-            }
-        )
-        findings = ContractCoverage().check(project)
-        assert len(findings) == 1
-        assert "spread_numpy" in findings[0].message
+        assert run(project, ContractCoverage) == []
 
 
 class TestRP015JournalSchemaConsistency:
@@ -492,7 +478,7 @@ class TestRP015JournalSchemaConsistency:
                 ),
             }
         )
-        findings = JournalSchemaConsistency().check(project)
+        findings = run(project, JournalSchemaConsistency)
         assert len(findings) == 1
         assert "'sprad'" in findings[0].message
         assert "profile_done" in findings[0].message
@@ -511,7 +497,7 @@ class TestRP015JournalSchemaConsistency:
                 ),
             }
         )
-        assert JournalSchemaConsistency().check(project) == []
+        assert run(project, JournalSchemaConsistency) == []
 
     def test_envelope_keys_always_known(self):
         project = build_project(
@@ -527,7 +513,7 @@ class TestRP015JournalSchemaConsistency:
                 ),
             }
         )
-        assert JournalSchemaConsistency().check(project) == []
+        assert run(project, JournalSchemaConsistency) == []
 
     def test_open_keyed_writer_silences_event(self):
         project = build_project(
@@ -546,7 +532,7 @@ class TestRP015JournalSchemaConsistency:
                 ),
             }
         )
-        assert JournalSchemaConsistency().check(project) == []
+        assert run(project, JournalSchemaConsistency) == []
 
     def test_event_never_written_is_skipped(self):
         project = build_project(
@@ -562,7 +548,7 @@ class TestRP015JournalSchemaConsistency:
                 ),
             }
         )
-        assert JournalSchemaConsistency().check(project) == []
+        assert run(project, JournalSchemaConsistency) == []
 
 
 class TestRP016GraphPayloadRefs:
@@ -578,7 +564,7 @@ class TestRP016GraphPayloadRefs:
                 )
             }
         )
-        findings = GraphPayloadRefs().check(project)
+        findings = run(project, GraphPayloadRefs)
         assert len(findings) == 1
         assert findings[0].code == "RP016"
         assert "graph" in findings[0].message
@@ -596,7 +582,7 @@ class TestRP016GraphPayloadRefs:
                 )
             }
         )
-        assert GraphPayloadRefs().check(project) == []
+        assert run(project, GraphPayloadRefs) == []
 
     def test_non_job_class_ignored(self):
         project = build_project(
@@ -609,7 +595,7 @@ class TestRP016GraphPayloadRefs:
                 )
             }
         )
-        assert GraphPayloadRefs().check(project) == []
+        assert run(project, GraphPayloadRefs) == []
 
     def test_suppression_honoured(self):
         project = build_project(
@@ -622,4 +608,4 @@ class TestRP016GraphPayloadRefs:
                 )
             }
         )
-        assert GraphPayloadRefs().check(project) == []
+        assert run(project, GraphPayloadRefs) == []

@@ -1,18 +1,19 @@
-"""Per-rule fixture tests for reprolint (RP001–RP009).
+"""Per-rule fixture tests for the per-file reprolint rules (RP001–RP009, RP017).
 
 Each rule gets positive snippets (must flag), negative snippets (must stay
 silent), and a suppressed variant (flag silenced by an inline
-``# reprolint: disable`` comment).  Scoping is exercised through the fake
-paths passed to :func:`lint_source` — rules key off path parts, so
-``cascade/x.py`` opts a snippet into the cascade-scoped rules.
+``# reprolint: disable`` comment).  Snippets run through the engine's one
+path (:func:`lint_source`: parse, every selected rule, suppression filter).
+Scoping is exercised through the fake paths passed to it — rules key off
+path parts, so ``cascade/x.py`` opts a snippet into the cascade-scoped rules.
 """
 
 import textwrap
 
 import pytest
 
-from repro.lint import lint_source
-from repro.lint.rules import ALL_RULES, rule_by_code
+from repro.lint.engine import RULES, lint_source, rule_by_code
+from repro.lint.rules import FILE_RULES
 
 
 def findings_for(source, path, select=None):
@@ -25,13 +26,14 @@ def codes(findings):
 
 class TestRuleCatalogue:
     def test_rules_with_stable_codes(self):
-        assert [r.code for r in ALL_RULES] == [
+        assert [r.code for r in FILE_RULES] == [
             "RP001", "RP002", "RP003", "RP004", "RP005", "RP006", "RP007",
             "RP008", "RP009", "RP017",
         ]
+        assert [r.code for r in RULES] == [f"RP{n:03d}" for n in range(1, 18)]
 
     def test_every_rule_carries_metadata(self):
-        for rule in ALL_RULES:
+        for rule in RULES:
             assert rule.code.startswith("RP")
             assert rule.name and rule.name != "abstract-rule"
             assert rule.rationale

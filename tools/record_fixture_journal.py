@@ -7,9 +7,9 @@ journal attached, and writes it to ``tests/fixtures/run_journal.jsonl``
 ``exec.batch`` spans (two NewGreedy gains batches of 13 jobs, one payoff
 batch of 4 jobs) under one ``getreal.run`` span: 30 jobs in all.
 
-Everything except timestamps, durations and the run id is a function of
-the fixed seed, so a re-recorded fixture differs from the committed one
-only in those fields.  Run from the repo root::
+Everything except timestamps, durations, the run id and the trace/span
+ids is a function of the fixed seed, so a re-recorded fixture differs from
+the committed one only in those fields.  Run from the repo root::
 
     PYTHONPATH=src python tools/record_fixture_journal.py
 """
